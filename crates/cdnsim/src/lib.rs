@@ -23,10 +23,10 @@
 //!   ([`workload`], [`vantage`]);
 //! * the standard five-dataset scenario and the controlled active
 //!   experiment of Section VII-C ([`scenario`], [`active`]);
-//! * deterministic within-dataset parallelism: splittable per-session RNG
-//!   streams ([`rng`]) and hour-sliced shard execution whose output is
-//!   byte-identical to the sequential engine for any shard count
-//!   ([`shard`]);
+//! * deterministic parallelism across datasets: each vantage point draws
+//!   from its own seed stream ([`rng`]), so the five datasets simulate on
+//!   the one scoped worker pool ([`parallel`]) with output byte-identical
+//!   for any worker count;
 //! * scheduled mid-trace CDN mutations (data-center decommission,
 //!   preferred-mapping flip, cache eviction) giving the change-detection
 //!   workload its ground truth ([`mutation`]).
@@ -56,10 +56,10 @@ pub mod catalog;
 pub mod dns;
 pub mod engine;
 pub mod mutation;
+pub mod parallel;
 pub mod placement;
 pub mod rng;
 pub mod scenario;
-pub mod shard;
 pub mod topology;
 pub mod vantage;
 pub mod workload;
@@ -72,7 +72,6 @@ pub use mutation::{InvalidMutation, MutationSchedule, MutationSpec, MutationSpec
 pub use placement::ContentStore;
 pub use rng::SimRng;
 pub use scenario::{run_span_name, ScenarioConfig, StandardScenario, World};
-pub use shard::{shard_hour_ranges, ReplicationSchedule};
 pub use topology::{DataCenter, DataCenterId, ServerPool, Topology};
 pub use vantage::{SubnetConfig, VantagePoint};
 pub use workload::{diurnal_factor, WorkloadModel, WEEK_HOURS};

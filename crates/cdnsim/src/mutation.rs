@@ -22,10 +22,8 @@
 //!   Replicas pulled during the run are never evicted.
 //!
 //! Every mutation is a *pure function of the week-hour* (no RNG, no
-//! wall clock), and DNS remaps are applied inside the shared session
-//! prelude — the prefix both the shard prepass and the full engine replay
-//! — so mutated runs stay byte-identical between the sequential and the
-//! sharded execution paths for any shard count.
+//! wall clock), and DNS remaps are applied after the resolver's draws, so
+//! a mutated run consumes exactly the random words of an unmutated one.
 
 use std::str::FromStr;
 
@@ -249,8 +247,7 @@ impl MutationSchedule {
     }
 
     /// Applies the DNS-level mutations to a resolution made at week-hour
-    /// `hour` under `policy`. Pure — no RNG, no clock — so the shard
-    /// prepass and the full engine remap identically.
+    /// `hour` under `policy`. Pure — no RNG, no clock.
     pub fn remap(&self, decision: DnsDecision, hour: u64, policy: &LdnsPolicy) -> DnsDecision {
         if self.is_empty() {
             return decision;

@@ -1,4 +1,7 @@
-//! The analysis layer's one scoped worker pool.
+//! The workspace's one scoped worker pool.
+//!
+//! The scenario simulates its datasets on it, and the analysis layer builds
+//! contexts and indexes, runs experiments and localizes CBG blocks on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -7,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// through an atomic cursor and hand `(position, result)` pairs back on
 /// join, so the output never depends on scheduling. A worker panic is
 /// re-raised on the caller's thread with its original payload.
-pub(crate) fn map_in_order<T: Sync, R: Send>(
+pub fn map_in_order<T: Sync, R: Send>(
     items: &[T],
     jobs: usize,
     f: impl Fn(&T) -> R + Sync,

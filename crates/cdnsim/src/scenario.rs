@@ -17,6 +17,7 @@ use crate::catalog::{CatalogConfig, VideoCatalog, VotdSchedule};
 use crate::dns::LdnsPolicy;
 use crate::engine::{Engine, EngineConfig, SessionOutcome};
 use crate::mutation::{InvalidMutation, MutationSchedule, MutationSpec};
+use crate::parallel::map_in_order;
 use crate::placement::{ContentStore, PlacementConfig};
 use crate::rng::{stream, SimRng};
 use crate::topology::{DataCenterId, Topology};
@@ -352,9 +353,7 @@ impl StandardScenario {
     }
 
     /// Schedules mid-trace CDN mutations for every subsequent run,
-    /// resolving the parsed specs against this world's topology. The
-    /// schedule applies identically on the sequential and the sharded
-    /// execution path.
+    /// resolving the parsed specs against this world's topology.
     ///
     /// # Errors
     ///
@@ -394,8 +393,7 @@ impl StandardScenario {
     }
 
     /// Creates a fresh content store (placement state) for one run, with
-    /// any scheduled cache evictions installed — both the engines and the
-    /// shard runner's merge pass must see the same presence timeline.
+    /// any scheduled cache evictions installed.
     pub fn fresh_store(&self) -> ContentStore {
         let mut store = ContentStore::new(self.config.placement, &self.world.topology);
         store.set_evictions(self.mutations.evictions().to_vec());
@@ -420,79 +418,31 @@ impl StandardScenario {
         SimRng::for_stream(self.config.seed, &[stream::SCENARIO, idx as u64]).next_u64()
     }
 
-    /// Builds a fresh engine for one dataset; `instrumented` attaches the
-    /// scenario's telemetry scoped to the dataset name.
-    fn make_engine(&self, idx: usize, instrumented: bool) -> Engine<'_> {
-        let vp = &self.world.vantages[idx];
-        let engine = Engine::new(
+    /// Simulates one dataset, returning the flow log and the ground truth.
+    /// The engine is instrumented with the scenario's telemetry scoped to
+    /// the dataset name, and the run records the `scenario.sessions_per_sec`
+    /// throughput gauge.
+    pub fn run_with_outcome(&self, name: DatasetName) -> (Dataset, SessionOutcome) {
+        let idx = self.vantage_idx(name);
+        let span = self.telemetry.span(run_span_name(name));
+        let (dataset, outcome) = Engine::new(
             &self.world.topology,
             &self.world.catalog,
             self.world.delay,
-            vp,
+            &self.world.vantages[idx],
             self.world.policies[idx].clone(),
             self.fresh_store(),
             self.config.engine,
             self.dataset_seed(idx),
         )
-        .with_mutations(Arc::clone(&self.mutations));
-        if instrumented {
-            engine.with_telemetry(self.telemetry.with_scope(vp.dataset.as_str()))
-        } else {
-            engine
+        .with_mutations(Arc::clone(&self.mutations))
+        .with_telemetry(self.telemetry.with_scope(name.as_str()))
+        .run();
+        if let Some(us) = span.elapsed_us().filter(|&us| us > 0) {
+            self.telemetry
+                .gauge("scenario.sessions_per_sec")
+                .set(outcome.sessions as f64 / (us as f64 / 1e6));
         }
-    }
-
-    /// Records the per-dataset simulation throughput gauge, sessions per
-    /// wall-clock second (the ROADMAP's scaling headline number).
-    fn record_throughput(&self, span: ytcdn_telemetry::Span, outcome: &SessionOutcome) {
-        if let Some(us) = span.elapsed_us() {
-            if us > 0 {
-                self.telemetry
-                    .gauge("scenario.sessions_per_sec")
-                    .set(outcome.sessions as f64 / (us as f64 / 1e6));
-            }
-        }
-    }
-
-    /// Simulates one dataset, returning the flow log and the ground truth.
-    pub fn run_with_outcome(&self, name: DatasetName) -> (Dataset, SessionOutcome) {
-        let idx = self.vantage_idx(name);
-        let span = self.telemetry.span(run_span_name(name));
-        let (dataset, outcome) = self.make_engine(idx, true).run();
-        self.record_throughput(span, &outcome);
-        (dataset, outcome)
-    }
-
-    /// Simulates one dataset with its week sharded across `shards` worker
-    /// threads (clamped to `[1, 168]`). Byte-identical to
-    /// [`StandardScenario::run_with_outcome`] at the same seed — see
-    /// [`crate::shard`] for the algorithm and its determinism argument —
-    /// and telemetry counters still sum to the sequential values, with
-    /// per-shard `scenario.shard.{prepass,merge,sim}` spans and merge
-    /// metrics (`shard.pulls_scheduled`, `shard.boundary_fills`) on top.
-    /// One shard is the live engine itself: no prepass, no merge.
-    pub fn run_with_outcome_sharded(
-        &self,
-        name: DatasetName,
-        shards: usize,
-    ) -> (Dataset, SessionOutcome) {
-        if shards <= 1 {
-            return self.run_with_outcome(name);
-        }
-        let idx = self.vantage_idx(name);
-        let span = self.telemetry.span(run_span_name(name));
-        let model = self.make_engine(idx, false).workload();
-        let base_store = self.fresh_store();
-        let (records, outcome) = crate::shard::run_sharded(
-            shards,
-            &model,
-            &base_store,
-            self.config.engine.disable_replication,
-            &self.telemetry,
-            |instrumented| self.make_engine(idx, instrumented),
-        );
-        let dataset = Dataset::from_records(name, records);
-        self.record_throughput(span, &outcome);
         (dataset, outcome)
     }
 
@@ -501,43 +451,23 @@ impl StandardScenario {
         self.run_with_outcome(name).0
     }
 
-    /// Simulates one dataset sharded across `shards` worker threads.
-    pub fn run_sharded(&self, name: DatasetName, shards: usize) -> Dataset {
-        self.run_with_outcome_sharded(name, shards).0
+    /// Simulates all five datasets in Table I order on up to `jobs` worker
+    /// threads (clamped to `[1, 5]`). Each dataset draws from its own seed
+    /// stream, so the datasets are identical for any `jobs`.
+    pub fn run_all_sharded(&self, jobs: usize) -> Vec<Dataset> {
+        let _span = self.telemetry.span("scenario.run_all_sharded");
+        self.simulate_all(jobs)
     }
 
-    /// Simulates all five datasets in Table I order, one thread each.
-    /// Identical output to [`StandardScenario::run_all_sharded`] — each
-    /// dataset draws from its own seed stream.
+    /// [`StandardScenario::run_all_sharded`] on one thread per dataset,
+    /// recorded under its own `scenario.run_all_parallel` span.
     pub fn run_all_parallel(&self) -> Vec<Dataset> {
         let _span = self.telemetry.span("scenario.run_all_parallel");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = DatasetName::ALL
-                .iter()
-                .map(|&n| scope.spawn(move || self.run(n)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect()
-        })
+        self.simulate_all(DatasetName::ALL.len())
     }
 
-    /// Simulates all five datasets in Table I order, each sharded across
-    /// `shards` worker threads; `shards = 1` runs them sequentially on the
-    /// live engine. Datasets run one after another so the worker count
-    /// never exceeds `shards`; with more cores than datasets this beats
-    /// [`StandardScenario::run_all_parallel`], whose parallelism is capped
-    /// at the five datasets (and in practice at the largest one).
-    pub fn run_all_sharded(&self, shards: usize) -> Vec<Dataset> {
-        let _span = self.telemetry.span("scenario.run_all_sharded");
-        DatasetName::ALL
-            .iter()
-            .map(|&n| self.run_sharded(n, shards))
-            .collect()
+    fn simulate_all(&self, jobs: usize) -> Vec<Dataset> {
+        map_in_order(&DatasetName::ALL, jobs, |&name| self.run(name))
     }
 }
 
@@ -657,16 +587,19 @@ mod tests {
         assert_eq!(s.run_all_sharded(1), s.run_all_parallel());
     }
 
+    /// Every dataset of the pool equals its own one-dataset run, for any
+    /// worker count, including more workers than datasets.
+    fn assert_pool_matches_single_runs(s: &StandardScenario) {
+        let single: Vec<Dataset> = DatasetName::ALL.iter().map(|&n| s.run(n)).collect();
+        for jobs in [1, 3, 8] {
+            assert_eq!(s.run_all_sharded(jobs), single, "jobs={jobs}");
+        }
+    }
+
     #[test]
     fn sharded_run_matches_sequential() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu2);
-        for shards in [1, 3, 8] {
-            let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu2, shards);
-            assert_eq!(sharded, seq, "shards={shards}");
-            assert_eq!(outcome, seq_outcome, "shards={shards}");
-        }
-        assert_eq!(s.run_all_sharded(1), s.run_all_sharded(4));
+        assert_pool_matches_single_runs(&s);
     }
 
     #[test]
@@ -682,12 +615,7 @@ mod tests {
         let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 3));
         s.set_mutations(&specs).unwrap();
         assert_eq!(s.mutations().effective_hours(), vec![48, 72, 96]);
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu1Ftth);
-        for shards in [2, 5] {
-            let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu1Ftth, shards);
-            assert_eq!(sharded, seq, "shards={shards}");
-            assert_eq!(outcome, seq_outcome, "shards={shards}");
-        }
+        assert_pool_matches_single_runs(&s);
     }
 
     #[test]
@@ -749,49 +677,6 @@ mod tests {
         let snap = s.telemetry().metrics_snapshot().unwrap();
         assert_eq!(snap.histograms["scenario.run_all_parallel"].count, 1);
         assert_eq!(snap.histograms["scenario.run_all_sharded"].count, 2);
-    }
-
-    #[test]
-    fn one_shard_is_the_live_engine() {
-        let cfg = ScenarioConfig::with_scale(0.002, 7);
-        let plain = StandardScenario::build(cfg);
-        let (seq, seq_outcome) = plain.run_with_outcome(DatasetName::UsCampus);
-        let mut s = StandardScenario::build(cfg);
-        s.set_telemetry(Telemetry::metrics_only());
-        let (one, outcome) = s.run_with_outcome_sharded(DatasetName::UsCampus, 1);
-        assert_eq!(one, seq);
-        assert_eq!(outcome, seq_outcome);
-        // No prepass, no merge: nothing of the shard runner fires.
-        let snap = s.telemetry().metrics_snapshot().unwrap();
-        let shard_spans: Vec<&String> = snap
-            .histograms
-            .keys()
-            .filter(|name| name.starts_with("scenario.shard."))
-            .collect();
-        assert!(shard_spans.is_empty(), "{shard_spans:?}");
-        assert_eq!(snap.counter("shard.pulls_scheduled"), 0);
-        assert!(outcome.replications > 0, "scale too small to replicate");
-        assert_eq!(
-            snap.histograms[run_span_name(DatasetName::UsCampus)].count,
-            1
-        );
-    }
-
-    #[test]
-    fn sharded_run_records_shard_spans_and_merge_metrics() {
-        let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 7));
-        s.set_telemetry(Telemetry::metrics_only());
-        let (_, outcome) = s.run_with_outcome_sharded(DatasetName::UsCampus, 4);
-        let snap = s.telemetry().metrics_snapshot().unwrap();
-        // One prepass and one simulation span per shard, one merge total.
-        assert_eq!(snap.histograms["scenario.shard.prepass"].count, 4);
-        assert_eq!(snap.histograms["scenario.shard.sim"].count, 4);
-        assert_eq!(snap.histograms["scenario.shard.merge"].count, 1);
-        assert_eq!(snap.counter("shard.pulls_scheduled"), outcome.replications);
-        // Engine counters are recorded exactly once per session even though
-        // the prepass replays every prelude.
-        assert_eq!(snap.counter("scenario.sessions"), outcome.sessions);
-        assert_eq!(snap.counter("scenario.flows"), outcome.flows);
     }
 
     #[test]

@@ -499,7 +499,8 @@ impl Topology {
     ///
     /// Server-to-DC mapping is /24-granular (`dc_of_ip` keys on the block),
     /// so every address in the block shares a data center; geolocating the
-    /// canonical endpoint makes per-block analyses (CBG caching, sharding)
+    /// canonical endpoint makes per-block analyses (CBG caching, the
+    /// parallel CBG pass)
     /// a pure function of the block, independent of which member addresses
     /// a capture happened to observe.
     pub fn block_endpoint(&self, block: Ipv4Block) -> Option<Endpoint> {

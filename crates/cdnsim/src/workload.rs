@@ -72,36 +72,14 @@ impl WorkloadModel {
         self.total_sessions as f64 * self.hour_weight(hour) / total_weight
     }
 
-    /// The generator for week-hour `hour`'s arrivals under `seed`.
-    ///
-    /// Each hour gets its own derived stream so that any worker can
-    /// regenerate any hour's arrivals without replaying the hours before
-    /// it — the foundation of the sharded engine's determinism.
-    fn hour_rng(seed: u64, hour: u64) -> SimRng {
-        SimRng::for_stream(seed, &[stream::WORKLOAD, hour])
-    }
-
-    /// The session count of week-hour `hour` under `seed`: the expectation
-    /// with stochastic rounding, so the weekly total concentrates tightly
-    /// around `total_sessions`.
-    ///
-    /// This is the *first* draw of the hour's stream, so it can be computed
-    /// for all 168 hours in O(hours) — shards use this to derive global
-    /// session ordinals without generating other shards' start times.
-    pub fn hour_count(&self, seed: u64, hour: u64) -> u64 {
-        let expect = self.expected_in_hour(hour);
-        let mut n = expect.floor() as u64;
-        if Self::hour_rng(seed, hour).gen_bool((expect - expect.floor()).clamp(0.0, 1.0)) {
-            n += 1;
-        }
-        n
-    }
-
     /// Generates week-hour `hour`'s session start times (ms since trace
-    /// start), sorted. Always `hour_count(seed, hour)` entries.
+    /// start), sorted. The count is the hour's expectation with stochastic
+    /// rounding, so the weekly total concentrates tightly around
+    /// `total_sessions`.
     pub fn hour_times(&self, seed: u64, hour: u64) -> Vec<u64> {
         let expect = self.expected_in_hour(hour);
-        let mut rng = Self::hour_rng(seed, hour);
+        // Each hour has its own stream, so any hour regenerates alone.
+        let mut rng = SimRng::for_stream(seed, &[stream::WORKLOAD, hour]);
         let mut n = expect.floor() as u64;
         if rng.gen_bool((expect - expect.floor()).clamp(0.0, 1.0)) {
             n += 1;
@@ -182,7 +160,6 @@ mod tests {
         let mut concat = Vec::new();
         for hour in 0..WEEK_HOURS {
             let times = wm.hour_times(seed, hour);
-            assert_eq!(times.len() as u64, wm.hour_count(seed, hour), "hour {hour}");
             assert!(times.iter().all(|&t| t / HOUR_MS == hour));
             concat.extend(times);
         }

@@ -12,18 +12,19 @@ pub const USAGE: &str = "\
 ytcdn — the YouTube CDN reproduction toolkit
 
 USAGE:
-  ytcdn generate  [--dataset NAME] [--scale S] [--seed N] [--shards K]
+  ytcdn generate  [--dataset NAME] [--scale S] [--seed N] [--jobs K]
                   [--mutate SPEC]... [--format text|ytc] --out PATH
                   (PATH is a file for one dataset, a directory for all five —
                   except ytc, where PATH is always one file carrying every
                   generated dataset; a .ytc extension implies --format ytc,
-                  any other path the Tstat text log)
+                  any other path the Tstat text log; all five datasets
+                  simulate on K worker threads)
   ytcdn analyze   --trace PATH [--scale S] [--seed N]
-  ytcdn geolocate --dataset NAME [--landmarks K] [--scale S] [--seed N] [--shards K]
-                  [--jobs K] (CBG worker threads; any K gives byte-identical output)
+  ytcdn geolocate --dataset NAME [--landmarks K] [--scale S] [--seed N]
+                  [--jobs K] (CBG worker threads)
   ytcdn whatif    --scenario feb2011|fixed-peering|no-votd|eu2-capacity|popularity
                   [--scale S] [--seed N]
-  ytcdn watch     --dataset NAME [--scale S] [--seed N] [--shards K]
+  ytcdn watch     --dataset NAME [--scale S] [--seed N]
                   [--mutate SPEC]... [--window H] [--threshold D] [--min-flows F]
                   [--from PATH.ytc]
                   (simulate — or load PATH.ytc, skipping simulation — then
@@ -37,8 +38,8 @@ USAGE:
                   [--degenerate SHAPE]
                   (regenerate every table and figure of the paper — or the
                   --exp list — on stdout; --from skips simulation and uses
-                  the file's recorded scale/seed/mutations; any K gives
-                  byte-identical output; a phase profile goes to stderr)
+                  the file's recorded scale/seed/mutations; a phase profile
+                  goes to stderr)
 
 Experiments (repro --exp):
   table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10a fig10b
@@ -60,9 +61,8 @@ Global flags (any subcommand):
 
 Datasets: US-Campus, EU1-Campus, EU1-ADSL, EU1-FTTH, EU2.
 Defaults: --scale 0.02 (repro: 0.1), --seed 42, --landmarks 50,
-          --shards = --jobs = available CPUs (sharding is deterministic:
-          any K produces byte-identical output; --shards 1 runs
-          sequentially).";
+          --jobs = available CPUs (any K produces byte-identical output;
+          --jobs 1 runs sequentially).";
 
 /// Workload scale when `--scale` is absent.
 const DEFAULT_SCALE: f64 = 0.02;
@@ -114,8 +114,9 @@ pub enum Command {
         out: PathBuf,
         /// Output format (`--format`, or implied by a `.ytc` extension).
         format: TraceFormat,
-        /// Worker threads per dataset (`None` = available CPUs).
-        shards: Option<usize>,
+        /// Worker threads simulating the datasets (`None` = available
+        /// CPUs); any value gives byte-identical output.
+        jobs: Option<usize>,
         /// Scheduled mutation specs (`kind@hour:arg`), applied in order.
         mutate: Vec<String>,
     },
@@ -138,8 +139,6 @@ pub enum Command {
         seed: u64,
         /// Number of CBG landmarks.
         landmarks: usize,
-        /// Worker threads for the simulation (`None` = available CPUs).
-        shards: Option<usize>,
         /// Worker threads for CBG localization (`None` = available CPUs);
         /// per-/24 noise streams make any value byte-identical.
         jobs: Option<usize>,
@@ -161,8 +160,6 @@ pub enum Command {
         scale: f64,
         /// Scenario seed.
         seed: u64,
-        /// Worker threads for the simulation (`None` = available CPUs).
-        shards: Option<usize>,
         /// Scheduled mutation specs (`kind@hour:arg`), applied in order.
         mutate: Vec<String>,
         /// Detection window width, hours.
@@ -283,7 +280,6 @@ struct Flags {
     landmarks: usize,
     scenario: Option<String>,
     format: Option<TraceFormat>,
-    shards: Option<usize>,
     jobs: Option<usize>,
     mutate: Vec<String>,
     window: u64,
@@ -311,7 +307,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
         landmarks: 50,
         scenario: None,
         format: None,
-        shards: None,
         jobs: None,
         mutate: Vec::new(),
         window: ytcdn_core::constellation::DEFAULT_WINDOW_HOURS,
@@ -369,16 +364,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, ParseError> {
                 flags.landmarks = k;
             }
             "--scenario" => flags.scenario = Some(value("--scenario value")?.clone()),
-            "--shards" => {
-                let v = value("--shards value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| ParseError::Invalid("shards", v.clone()))?;
-                if n == 0 {
-                    return Err(ParseError::Invalid("shards", v.clone()));
-                }
-                flags.shards = Some(n);
-            }
             "--jobs" => {
                 let v = value("--jobs value")?;
                 let n: usize = v
@@ -489,7 +474,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                 seed: flags.seed,
                 out,
                 format,
-                shards: flags.shards,
+                jobs: flags.jobs,
                 mutate: flags.mutate.clone(),
             })
         }
@@ -503,7 +488,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
             scale,
             seed: flags.seed,
             landmarks: flags.landmarks,
-            shards: flags.shards,
             jobs: flags.jobs,
         }),
         "whatif" => Ok(Command::WhatIf {
@@ -525,7 +509,6 @@ pub fn parse(args: &[String]) -> Result<Invocation, ParseError> {
                 dataset: flags.dataset.ok_or(ParseError::Missing("--dataset"))?,
                 scale,
                 seed: flags.seed,
-                shards: flags.shards,
                 mutate: flags.mutate.clone(),
                 window: flags.window,
                 threshold: flags.threshold,
@@ -612,7 +595,7 @@ mod tests {
                 seed: 42,
                 out: PathBuf::from("trace.log"),
                 format: TraceFormat::Text,
-                shards: None,
+                jobs: None,
                 mutate: vec![],
             }
         );
@@ -627,7 +610,6 @@ mod tests {
                 dataset: DatasetName::Eu1Ftth,
                 scale: 0.02,
                 seed: 42,
-                shards: None,
                 mutate: vec![],
                 window: ytcdn_core::constellation::DEFAULT_WINDOW_HOURS,
                 threshold: ytcdn_core::constellation::DEFAULT_THRESHOLD,
@@ -643,8 +625,6 @@ mod tests {
             "0.05",
             "--seed",
             "7",
-            "--shards",
-            "3",
             "--mutate",
             "dc-down@72:milan",
             "--mutate",
@@ -662,7 +642,6 @@ mod tests {
                 dataset: DatasetName::Eu2,
                 scale: 0.05,
                 seed: 7,
-                shards: Some(3),
                 mutate: vec!["dc-down@72:milan".into(), "cache-evict@48:0.05".into()],
                 window: 12,
                 threshold: 0.3,
@@ -706,35 +685,16 @@ mod tests {
 
     #[test]
     fn parse_shards() {
-        let gen = cmd(&["generate", "--shards", "8", "--out", "dir"]);
-        assert!(matches!(
-            gen,
-            Command::Generate {
-                shards: Some(8),
-                ..
-            }
-        ));
-        let geo = cmd(&["geolocate", "--dataset", "EU2", "--shards", "2"]);
-        assert!(matches!(
-            geo,
-            Command::Geolocate {
-                shards: Some(2),
-                ..
-            }
-        ));
-        // Zero and garbage are rejected; the value is required.
-        assert!(matches!(
-            parse(&v(&["generate", "--shards", "0", "--out", "d"])).unwrap_err(),
-            ParseError::Invalid("shards", _)
-        ));
-        assert!(matches!(
-            parse(&v(&["generate", "--shards", "many", "--out", "d"])).unwrap_err(),
-            ParseError::Invalid("shards", _)
-        ));
-        assert_eq!(
-            parse(&v(&["generate", "--shards"])).unwrap_err(),
-            ParseError::Missing("--shards value")
-        );
+        // `--shards` is gone: `generate` takes `--jobs` for its worker pool.
+        for sub in ["generate", "geolocate", "watch"] {
+            assert_eq!(
+                parse(&v(&[sub, "--shards", "2", "--out", "d"])).unwrap_err(),
+                ParseError::UnknownFlag("--shards".to_owned()),
+                "{sub}"
+            );
+        }
+        let gen = cmd(&["generate", "--jobs", "2", "--out", "dir"]);
+        assert!(matches!(gen, Command::Generate { jobs: Some(2), .. }));
     }
 
     #[test]
@@ -873,7 +833,6 @@ mod tests {
                 scale: 0.02,
                 seed: 42,
                 landmarks: 50,
-                shards: None,
                 jobs: None,
             }
         );

@@ -123,7 +123,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             seed,
             out,
             format,
-            shards,
+            jobs,
             mutate,
         } => match mutated_scenario(scale, seed, &mutate, ctx) {
             Ok(s) => generate(
@@ -131,7 +131,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
                 dataset,
                 out,
                 format,
-                resolve_shards(shards),
+                resolve_jobs(jobs),
                 YtcHeader {
                     scale,
                     seed,
@@ -147,17 +147,8 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             scale,
             seed,
             landmarks,
-            shards,
             jobs,
-        } => geolocate(
-            dataset,
-            scale,
-            seed,
-            landmarks,
-            resolve_shards(shards),
-            resolve_shards(jobs),
-            ctx,
-        ),
+        } => geolocate(dataset, scale, seed, landmarks, resolve_jobs(jobs), ctx),
         Command::WhatIf {
             scenario,
             scale,
@@ -167,7 +158,6 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             dataset,
             scale,
             seed,
-            shards,
             mutate,
             window,
             threshold,
@@ -182,7 +172,7 @@ fn run(cmd: Command, ctx: &Ctx) -> ExitCode {
             match from {
                 Some(path) => watch_from(&path, dataset, config, ctx),
                 None => match mutated_scenario(scale, seed, &mutate, ctx) {
-                    Ok(s) => watch(s, dataset, resolve_shards(shards), config, ctx),
+                    Ok(s) => watch(s, dataset, config, ctx),
                     Err(code) => code,
                 },
             }
@@ -298,9 +288,9 @@ fn characterize_trace(trace: &PathBuf) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--shards` default: one worker per available CPU. The shard count only
+/// `--jobs` default: one worker per available CPU. The worker count only
 /// affects wall-clock time — output is byte-identical for any value.
-fn resolve_shards(flag: Option<usize>) -> usize {
+fn resolve_jobs(flag: Option<usize>) -> usize {
     flag.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -348,13 +338,13 @@ fn generate(
     dataset: Option<DatasetName>,
     out: PathBuf,
     format: args::TraceFormat,
-    shards: usize,
+    jobs: usize,
     header: YtcHeader,
     ctx: &Ctx,
 ) -> ExitCode {
     let datasets: Vec<Dataset> = match dataset {
-        Some(n) => vec![s.run_sharded(n, shards)],
-        None => s.run_all_sharded(shards),
+        Some(n) => vec![s.run(n)],
+        None => s.run_all_sharded(jobs),
     };
     if format == args::TraceFormat::Ytc {
         // The columnar format is one file carrying every generated dataset
@@ -397,7 +387,7 @@ fn generate(
 
 /// Writes every generated dataset into one checksummed `.ytc` file. The
 /// encoding is deterministic, so the same scale/seed/mutations produce
-/// byte-identical files whatever `--shards` was.
+/// byte-identical files whatever `--jobs` was.
 fn generate_ytc(header: YtcHeader, datasets: Vec<Dataset>, out: &PathBuf, ctx: &Ctx) -> ExitCode {
     let file = match YtcFile::new(header, datasets) {
         Ok(f) => f,
@@ -499,14 +489,8 @@ fn watch_from(path: &PathBuf, dataset: DatasetName, config: WatchConfig, ctx: &C
 /// mutations), window it, and print the change-point table. Windowed
 /// metrics and detected change points also go to the telemetry stream when
 /// `--telemetry` is given, scoped to the dataset name.
-fn watch(
-    s: StandardScenario,
-    dataset: DatasetName,
-    shards: usize,
-    config: WatchConfig,
-    ctx: &Ctx,
-) -> ExitCode {
-    let ds = s.run_sharded(dataset, shards);
+fn watch(s: StandardScenario, dataset: DatasetName, config: WatchConfig, ctx: &Ctx) -> ExitCode {
+    let ds = s.run(dataset);
     let _span = ctx.telemetry.span("analysis.watch");
     let actx = AnalysisContext::from_ground_truth(s.world(), &ds);
     let index = DatasetIndex::build(&actx, &ds, ctx.telemetry.clone());
@@ -582,12 +566,11 @@ fn geolocate(
     scale: f64,
     seed: u64,
     landmarks: usize,
-    shards: usize,
     jobs: usize,
     ctx: &Ctx,
 ) -> ExitCode {
     let s = scenario(scale, seed, ctx);
-    let ds = s.run_sharded(dataset, shards);
+    let ds = s.run(dataset);
     ctx.progress.note(&format!(
         "calibrating CBG on {landmarks} landmarks, geolocating {} servers…",
         ds.server_ips().len()

@@ -13,7 +13,7 @@ use ytcdn_core::{WatchConfig, WatchReport, YtcFile};
 use ytcdn_tstat::DatasetName;
 
 use crate::args::Repro;
-use crate::{resolve_shards, Ctx};
+use crate::{resolve_jobs, Ctx};
 
 pub(crate) fn repro(args: Repro, ctx: &Ctx) -> ExitCode {
     let suite = match build_suite(&args, ctx) {
@@ -111,7 +111,7 @@ fn build_suite(args: &Repro, ctx: &Ctx) -> Result<ExperimentSuite, String> {
     let suite_config = |scale, seed| SuiteConfig {
         scenario: ScenarioConfig::with_scale(scale, seed),
         full_landmarks: args.full_landmarks,
-        jobs: resolve_shards(args.jobs),
+        jobs: resolve_jobs(args.jobs),
     };
     let telemetry = ctx.telemetry.clone();
     let Some(path) = &args.from else {

@@ -18,7 +18,7 @@
 //!
 //! Determinism: encoding is a pure function of the header values and the
 //! record columns. The same seed/scale/mutations produce byte-identical
-//! files for any `--shards K`, so golden tests pin whole-file digests.
+//! files for any `--jobs K`, so golden tests pin whole-file digests.
 //! The full byte layout is specified in `DESIGN.md` §13.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
@@ -392,8 +392,8 @@ impl YtcFile {
     }
 
     /// Encodes the file to its canonical byte form. Deterministic: equal
-    /// headers and columns yield identical bytes, whatever engine or shard
-    /// count produced the records.
+    /// headers and columns yield identical bytes, whatever worker count
+    /// produced the records.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);

@@ -9,6 +9,7 @@
 use std::fmt::Write as _;
 use std::ops::Range;
 
+use ytcdn_cdnsim::parallel::map_in_order;
 use ytcdn_cdnsim::{ActiveConfig, ActiveExperiment, ScenarioConfig, StandardScenario};
 use ytcdn_geoloc::Cbg;
 use ytcdn_geomodel::Continent;
@@ -27,7 +28,6 @@ use crate::hotspot::{
     top_nonpreferred_videos_indexed, video_timeseries_indexed,
 };
 use crate::index::{DatasetIndex, DEFAULT_GAP_MS};
-use crate::parallel::map_in_order;
 use crate::preferred::{bytes_by_distance, bytes_by_rtt, closest_k_share};
 use crate::stats::Cdf;
 use crate::subnet::subnet_shares;

@@ -127,7 +127,7 @@ pub fn localize_blocks(
             truth_continent: truth_city.continent,
         }
     };
-    crate::parallel::map_in_order(targets, jobs, run_one)
+    ytcdn_cdnsim::parallel::map_in_order(targets, jobs, run_one)
 }
 
 /// Combines a block's shared CBG outcome with one dataset's view of the

@@ -67,7 +67,6 @@ pub mod export;
 pub mod geo_analysis;
 pub mod hotspot;
 pub mod index;
-mod parallel;
 pub mod patterns;
 pub mod perf;
 pub mod preferred;

@@ -6,13 +6,10 @@
 //! measurement noise of RTT probes and CBG geolocation (through
 //! [`crate::NoiseRng`], a wrapper that keeps the two uses apart as types).
 //!
-//! The sharded engine's correctness story is "byte-identical output for any
-//! shard count": worker threads must reproduce exactly the draws the
-//! sequential engine would have made, without replaying everything before
-//! them. [`SimRng`] provides this with *splittable streams*: a generator is
-//! derived from a root seed plus a path of stream tags (e.g. `(seed,
-//! SESSION, ordinal)`), so any thread can jump straight to the generator
-//! for session `ordinal` in O(1). The core is SplitMix64 (Steele, Lea &
+//! [`SimRng`] has *splittable streams*: a generator is derived from a root
+//! seed plus a path of stream tags (e.g. `(seed, SESSION, ordinal)`), so
+//! each dataset, hour and session draws from its own generator, reached in
+//! O(1), and no thread's draws depend on another's. The core is SplitMix64 (Steele, Lea &
 //! Flood, OOPSLA 2014): a Weyl sequence on the golden gamma passed through
 //! an avalanching finalizer. It is tiny, fast, passes BigCrush, and its
 //! output is defined by this file alone, so golden-snapshot tests hold on
@@ -120,7 +117,8 @@ impl SimRng {
     /// Integer ranges use the widening-multiply reduction
     /// (`(x * span) >> 64`): the bias is at most `span / 2^64`, far below
     /// anything observable, and unlike rejection sampling it consumes
-    /// exactly one `next_u64` — a property the shard prepass relies on.
+    /// exactly one `next_u64`, so the words a draw consumes never depend on
+    /// the value drawn.
     ///
     /// # Panics
     ///
@@ -245,8 +243,8 @@ mod tests {
 
     #[test]
     fn draws_consume_exactly_one_word() {
-        // The shard prepass replays session preludes assuming one word per
-        // draw; pin that contract.
+        // One word per draw keeps every stream's later values fixed
+        // whatever an earlier draw returned; pin that contract.
         let mut a = SimRng::seed_from_u64(11);
         let mut b = SimRng::seed_from_u64(11);
         a.gen_range(0u64..1000);

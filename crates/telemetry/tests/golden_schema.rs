@@ -192,9 +192,10 @@ const GOLDEN_LINES: &[&str] = &[
 ];
 
 /// Writes one record per variant through the real sink and returns the
-/// file's text.
-fn emitted_text() -> String {
-    let dir = std::env::temp_dir().join(format!("ytcdn-golden-{}", std::process::id()));
+/// file's text. Each caller names its own directory: the tests run in
+/// parallel, and one test's cleanup must not remove another's file.
+fn emitted_text(test: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("ytcdn-golden-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("events.jsonl");
     {
@@ -212,14 +213,14 @@ fn emitted_text() -> String {
 
 #[test]
 fn every_variant_writes_its_golden_line() {
-    let text = emitted_text();
+    let text = emitted_text("lines");
     assert_eq!(text.lines().collect::<Vec<_>>(), GOLDEN_LINES);
     assert!(text.ends_with('\n'), "every line is terminated");
 }
 
 #[test]
 fn every_variant_matches_the_golden_schema() {
-    let text = emitted_text();
+    let text = emitted_text("schema");
     let lines: Vec<json::Value> = text
         .lines()
         .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))

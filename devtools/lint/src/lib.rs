@@ -2,8 +2,8 @@
 //! contract.
 //!
 //! The reproduction's core claim is that Table I and the preferred-DC
-//! rankings are byte-identical across sequential, parallel, and sharded
-//! runs. That claim rests on invariants the differential tests
+//! rankings are byte-identical across sequential and parallel runs. That
+//! claim rests on invariants the differential tests
 //! (`tests/sharding_differential.rs`, `tests/determinism.rs`) can only
 //! check *dynamically*, after a full re-run: the simulation path draws
 //! exclusively from the in-tree `SimRng`, telemetry never touches an RNG

@@ -33,19 +33,22 @@ grep -q '"version": "2.1.0"' "$smoke/lint-report.sarif" \
 echo "==> cargo test" >&2
 cargo test --workspace -q
 
-# Shards matrix: the CLI must emit byte-identical traces at --shards 1
-# (sequential engine) and --shards <max> (fully sharded). The in-process
-# differential suite covers K ∈ {1,2,4,7,16}; this leg covers the CLI
-# plumbing and whatever available_parallelism happens to be on this host.
-echo "==> --shards differential smoke (1 vs max)" >&2
+# Dataset pool: the CLI must emit byte-identical traces for all five
+# datasets at --jobs 1 (one after another) and --jobs <max> (concurrent).
+# The in-process differential suite covers jobs ∈ {1,2,3,5,8}; this leg
+# covers the CLI plumbing and whatever available_parallelism happens to
+# be on this host.
+echo "==> generate --jobs differential smoke (1 vs max)" >&2
 max="$(nproc 2>/dev/null || echo 4)"
-for shards in 1 "$max"; do
+for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- generate \
-        --dataset EU2 --scale 0.002 --seed 7 --shards "$shards" \
-        --format text --out "$smoke/eu2-$shards.log"
+        --scale 0.002 --seed 7 --jobs "$jobs" \
+        --format text --out "$smoke/logs-$jobs/"
 done
-cmp "$smoke/eu2-1.log" "$smoke/eu2-$max.log" \
-    || { echo "check.sh: --shards $max output differs from sequential" >&2; exit 1; }
+for log in "$smoke"/logs-1/*.log; do
+    cmp "$log" "$smoke/logs-$max/$(basename "$log")" \
+        || { echo "check.sh: generate --jobs $max output differs from sequential" >&2; exit 1; }
+done
 
 # Watchtower smoke: a trace with one scheduled mutation must produce at
 # least one change point (and exit 0); the windowed-metrics JSONL must
@@ -94,22 +97,22 @@ cmp "$smoke/geo-1.txt" "$smoke/geo-$max.txt" \
     || { echo "check.sh: geo experiments differ at --jobs $max vs sequential" >&2; exit 1; }
 
 # Columnar .ytc smoke, three legs. (1) Byte stability: the encoded file is
-# identical at --shards 1 and --shards <max> — the .ytc twin of the text
+# identical at --jobs 1 and --jobs <max> — the .ytc twin of the text
 # differential above, sha256 so the transcript shows the digest. (2) Replay
 # fidelity: `repro --from dataset.ytc` must print the report byte-identical
 # to the simulate-in-memory run at the same scale/seed. (3) Corruption:
 # a flipped byte must exit non-zero with the reason on stderr, never panic.
 echo "==> .ytc columnar smoke (stability, replay, corruption)" >&2
-for shards in 1 "$max"; do
+for jobs in 1 "$max"; do
     cargo run --quiet --release -p ytcdn-cli -- generate \
-        --scale 0.004 --seed 7 --shards "$shards" \
-        --out "$smoke/ds-$shards.ytc" 2>/dev/null
+        --scale 0.004 --seed 7 --jobs "$jobs" \
+        --out "$smoke/ds-$jobs.ytc" 2>/dev/null
 done
 sha1="$(sha256sum "$smoke/ds-1.ytc" | cut -d' ' -f1)"
 shaN="$(sha256sum "$smoke/ds-$max.ytc" | cut -d' ' -f1)"
 echo "    dataset.ytc sha256 $sha1" >&2
 [ "$sha1" = "$shaN" ] \
-    || { echo "check.sh: .ytc at --shards $max differs from sequential" >&2; exit 1; }
+    || { echo "check.sh: .ytc at --jobs $max differs from sequential" >&2; exit 1; }
 cargo run --quiet --release -p ytcdn-cli -- repro \
     --from "$smoke/ds-1.ytc" --jobs 1 > "$smoke/repro-from.txt" 2>/dev/null \
     || { echo "check.sh: repro --from exited non-zero on a valid file" >&2; exit 1; }

@@ -1,6 +1,6 @@
 //! Differential harness: the columnar analysis index vs the direct path.
 //!
-//! The [`DatasetIndex`] contract mirrors the sharded engine's: byte
+//! The [`DatasetIndex`] contract mirrors the dataset pool's: byte
 //! identity. The index's sessions and session counts must equal the
 //! direct grouping's for any suite `jobs`, every `*_indexed` analysis
 //! must equal its direct counterpart, and the whole experiment suite must

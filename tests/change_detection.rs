@@ -1,8 +1,8 @@
 //! End-to-end contract of the CDN-change watchtower: scheduled mutations
 //! injected into the simulator must surface as change points at exactly the
 //! scheduled hour, nothing must fire on an unmutated trace, and the whole
-//! simulate→window→detect pipeline must be invariant under sharding and
-//! index parallelism.
+//! simulate→window→detect pipeline must be invariant under the dataset
+//! pool's worker count and index parallelism.
 //!
 //! Scale 0.05 is the smallest scale at which every 6-hour window of
 //! EU1-FTTH clears the detector's activity floor, so detection latency is
@@ -98,9 +98,9 @@ fn unmutated_traces_stay_silent() {
     }
 }
 
-/// A mutated trace must be byte-identical between the sequential and every
-/// sharded execution path, and so must the watch report (including change
-/// points) built over each.
+/// A mutated trace must be byte-identical between the one-dataset run and
+/// the dataset pool at every worker count, and so must the watch report
+/// (including change points) built over each.
 #[test]
 fn mutated_pipeline_is_invariant_under_sharding_and_jobs() {
     let specs: Vec<&str> = CASES.iter().map(|(m, _)| *m).collect();
@@ -113,13 +113,17 @@ fn mutated_pipeline_is_invariant_under_sharding_and_jobs() {
     expected.sort_unstable();
     let windows: Vec<usize> = baseline.change_points.iter().map(|c| c.window).collect();
     assert_eq!(windows, expected, "combined mutations: {windows:?}");
-    for k in [2, 5] {
-        let sharded = s.run_sharded(DATASET, k);
-        assert_eq!(sharded, seq, "K={k}: mutated dataset differs");
+    let slot = DatasetName::ALL
+        .iter()
+        .position(|&n| n == DATASET)
+        .expect("the standard scenario simulates every dataset");
+    for jobs in [2, 5] {
+        let pooled = s.run_all_sharded(jobs).swap_remove(slot);
+        assert_eq!(pooled, seq, "jobs={jobs}: mutated dataset differs");
         assert_eq!(
-            report_for(&s, &sharded),
+            report_for(&s, &pooled),
             baseline,
-            "K={k}: watch report differs"
+            "jobs={jobs}: watch report differs"
         );
     }
 }

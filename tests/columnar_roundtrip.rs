@@ -3,10 +3,10 @@
 //! The format's contract is twofold. First, *identity*: `decode(encode(f))`
 //! reproduces every flow column exactly — timestamps, durations, byte
 //! counts, client and server addresses, video ids, resolutions — for
-//! simulator output at any seed/scale/shard count and for every degenerate
+//! simulator output at any seed/scale/worker count and for every degenerate
 //! shape the analysis layer tolerates. Second, *byte stability*: encoding
 //! is a pure function of the header and the sorted record columns, so the
-//! same scenario yields identical bytes whatever shard count produced the
+//! same scenario yields identical bytes whatever worker count produced the
 //! records, and a pinned whole-file SHA-256 detects any accidental format
 //! or simulation drift (the binary twin of `tests/golden_tables.rs`).
 //!
@@ -34,9 +34,8 @@ use ytcdn_tstat::{Dataset, DatasetName};
 /// `tests/analysis_index_differential.rs`, so drift shows up in both.
 const CASES: [(f64, u64); 2] = [(0.004, 2), (0.008, 55)];
 
-/// Shard counts: sequential, an even split, and a count that divides
-/// nothing evenly.
-const SHARD_COUNTS: [usize; 3] = [1, 4, 7];
+/// Worker counts: sequential, fewer workers than datasets, and more.
+const JOB_COUNTS: [usize; 3] = [1, 4, 7];
 
 /// Scale/seed of the golden file, matching `tests/golden_tables.rs`.
 const GOLDEN_SCALE: f64 = 0.01;
@@ -81,20 +80,20 @@ fn assert_columns_equal(got: &Dataset, want: &Dataset, label: &str) {
 }
 
 /// Every flow column survives the encode/decode round trip, for every
-/// vantage point, across seeds × scales × shard counts.
+/// vantage point, across seeds × scales × worker counts.
 #[test]
 fn roundtrip_preserves_every_column() {
     for (scale, seed) in CASES {
         let s = scenario(scale, seed);
-        for shards in SHARD_COUNTS {
-            let datasets = s.run_all_sharded(shards);
+        for jobs in JOB_COUNTS {
+            let datasets = s.run_all_sharded(jobs);
             let file = YtcFile::new(header(scale, seed), datasets.clone()).unwrap();
             let back = YtcFile::decode(&file.encode()).unwrap();
             assert_eq!(back.header, file.header, "header survives the trip");
             let decoded = back.into_datasets();
             assert_eq!(decoded.len(), datasets.len());
             for (got, want) in decoded.iter().zip(&datasets) {
-                let label = format!("{} scale={scale} seed={seed} shards={shards}", want.name());
+                let label = format!("{} scale={scale} seed={seed} jobs={jobs}", want.name());
                 assert_columns_equal(got, want, &label);
             }
         }
@@ -102,7 +101,7 @@ fn roundtrip_preserves_every_column() {
 }
 
 /// The acceptance criterion: the encoded bytes are identical for any
-/// `--shards K` — the shard count changes wall-clock, never the file.
+/// `--jobs K` — the worker count changes wall-clock, never the file.
 #[test]
 fn encoded_bytes_identical_across_shard_counts() {
     for (scale, seed) in CASES {
@@ -110,13 +109,13 @@ fn encoded_bytes_identical_across_shard_counts() {
         let baseline = YtcFile::new(header(scale, seed), s.run_all_sharded(1))
             .unwrap()
             .encode();
-        for shards in [4, 8] {
-            let sharded = YtcFile::new(header(scale, seed), s.run_all_sharded(shards))
+        for jobs in [4, 8] {
+            let pooled = YtcFile::new(header(scale, seed), s.run_all_sharded(jobs))
                 .unwrap()
                 .encode();
             assert_eq!(
-                sharded, baseline,
-                "scale={scale} seed={seed}: shards={shards} encoded differently \
+                pooled, baseline,
+                "scale={scale} seed={seed}: jobs={jobs} encoded differently \
                  from the sequential run"
             );
         }

@@ -4,10 +4,7 @@
 use std::panic::AssertUnwindSafe;
 
 use ytcdn_cdnsim::dns::{DnsResolver, LdnsId, LdnsPolicy};
-use ytcdn_cdnsim::{
-    shard_hour_ranges, ContentStore, DataCenterId, ScenarioConfig, SimRng, StandardScenario,
-    Topology, WorkloadModel, WEEK_HOURS,
-};
+use ytcdn_cdnsim::{ContentStore, DataCenterId, SimRng, Topology};
 use ytcdn_core::session::group_sessions;
 use ytcdn_geomodel::{min_rtt_ms, Coord};
 use ytcdn_netsim::{AccessKind, DelayModel, Endpoint};
@@ -16,10 +13,6 @@ use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId, HOUR_MS
 /// Cases per structural property (the count these properties have always
 /// run).
 const CASES: u64 = 256;
-
-/// Cases per whole-scenario property: each simulates a vantage point both
-/// ways, so far fewer.
-const SCENARIO_CASES: u64 = 6;
 
 /// Runs `check` on `cases` generators, one seeded stream per case; a
 /// failure names its case, which reproduces it alone.
@@ -214,84 +207,4 @@ fn every_video_has_a_holder() {
         assert!(store.has(origin, video), "video {video_idx}");
         assert!(store.dcs().contains(&origin), "video {video_idx}");
     }
-}
-
-/// Shard boundaries always partition the week into contiguous,
-/// non-empty hour ranges, for any workload shape and shard count
-/// (including degenerate totals and out-of-range counts).
-#[test]
-fn shard_ranges_partition_any_week() {
-    for_cases(9, CASES, |rng| {
-        let total = rng.gen_range(0u64..2_000_000);
-        let offset = rng.gen_range(-12.0..12.0);
-        let shards = rng.gen_range(0usize..400);
-        let model = WorkloadModel::new(total, offset);
-        let ranges = shard_hour_ranges(&model, shards);
-        assert_eq!(ranges.len(), shards.clamp(1, WEEK_HOURS as usize));
-        assert_eq!(ranges[0].start, 0);
-        assert_eq!(ranges.last().unwrap().end, WEEK_HOURS);
-        for w in ranges.windows(2) {
-            assert_eq!(w[0].end, w[1].start, "gap or overlap between shards");
-        }
-        assert!(ranges.iter().all(|r| r.start < r.end), "empty shard range");
-    });
-}
-
-/// The cache state after the sharded merge equals the sequential run's.
-/// The flow log is a complete observer of the content store: any
-/// divergence in replica placement flips some session's hit into a miss
-/// (or vice versa) and changes its redirect chain, so byte-identical
-/// datasets plus an identical replication count pin the store evolution
-/// exactly.
-#[test]
-fn sharded_cache_state_matches_sequential() {
-    for_cases(10, SCENARIO_CASES, |rng| {
-        let (seed, shards) = (rng.gen_range(0u64..10_000), rng.gen_range(1usize..40));
-        let s = StandardScenario::build(ScenarioConfig::with_scale(0.0008, seed));
-        let (seq, seq_outcome) = s.run_with_outcome(DatasetName::Eu1Adsl);
-        let (sharded, outcome) = s.run_with_outcome_sharded(DatasetName::Eu1Adsl, shards);
-        assert_eq!(sharded, seq, "seed {seed}, {shards} shards");
-        assert_eq!(outcome, seq_outcome, "seed {seed}, {shards} shards");
-    });
-}
-
-/// The replication count is shard-count-invariant: the merge pass
-/// schedules the same pulls no matter where the boundaries fall.
-#[test]
-fn replication_count_is_shard_invariant() {
-    for_cases(11, SCENARIO_CASES, |rng| {
-        let seed = rng.gen_range(0u64..10_000);
-        let (k1, k2) = (rng.gen_range(1usize..168), rng.gen_range(1usize..168));
-        let s = StandardScenario::build(ScenarioConfig::with_scale(0.0008, seed));
-        let (_, o1) = s.run_with_outcome_sharded(DatasetName::Eu1Campus, k1);
-        let (_, o2) = s.run_with_outcome_sharded(DatasetName::Eu1Campus, k2);
-        assert_eq!(
-            o1.replications, o2.replications,
-            "seed {seed}, {k1} vs {k2}"
-        );
-    });
-}
-
-/// No session's flows straddle two shards' outputs out of order: session
-/// grouping over the sharded dataset reconstructs exactly the sequential
-/// sessions, flow index for flow index.
-#[test]
-fn sessions_never_straddle_shard_outputs() {
-    for_cases(12, SCENARIO_CASES, |rng| {
-        let seed = rng.gen_range(0u64..10_000);
-        let shards = rng.gen_range(2usize..32);
-        let gap = rng.gen_range(1u64..5_000);
-        let s = StandardScenario::build(ScenarioConfig::with_scale(0.0008, seed));
-        let seq = s.run(DatasetName::UsCampus);
-        let sharded = s.run_sharded(DatasetName::UsCampus, shards);
-        let a = group_sessions(&seq, gap);
-        let b = group_sessions(&sharded, gap);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(&x.flow_indices, &y.flow_indices);
-            assert_eq!(x.client_ip, y.client_ip);
-            assert_eq!(x.video_id, y.video_id);
-            assert_eq!((x.start_ms, x.end_ms), (y.start_ms, y.end_ms));
-        }
-    });
 }

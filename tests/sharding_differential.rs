@@ -1,77 +1,66 @@
-//! Differential harness: the sharded session engine vs the sequential one.
+//! Differential harness: the dataset pool at every worker count.
 //!
-//! The sharded engine's contract is *byte identity*: for any shard count K,
-//! `run_with_outcome_sharded(name, K)` must produce exactly the dataset,
-//! ground-truth outcome, and telemetry counters of `run_with_outcome(name)`.
-//! These tests pin that contract across shard counts, seeds, and scales —
-//! including scales small enough that most shards simulate zero sessions.
+//! [`StandardScenario::run_all_sharded`] simulates the five datasets on up
+//! to `jobs` threads. Its contract is *byte identity*: for any `jobs`, the
+//! datasets, their serialized text logs and the telemetry counters equal
+//! the one-thread run's. These tests pin that contract on a mutated
+//! scenario at two seeds, for fewer workers than datasets, exactly one per
+//! dataset, and more workers than datasets.
 
-use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
+use ytcdn_cdnsim::{MutationSpec, ScenarioConfig, StandardScenario};
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::DatasetName;
+use ytcdn_tstat::{Dataset, DatasetName};
 
-/// The shard counts every differential case runs: K=1 (the live engine
-/// itself, so the identity holds by construction), even splits, one that
-/// does not divide 168 evenly, and one per day of the week.
-const SHARD_COUNTS: [usize; 5] = [1, 2, 4, 7, 16];
+/// The worker counts every differential case runs; 1 is the baseline.
+const JOB_COUNTS: [usize; 5] = [1, 2, 3, 5, 8];
 
-/// Runs `name` sequentially and sharded at every K, asserting identical
-/// datasets and outcomes.
-fn assert_differential(scale: f64, seed: u64, name: DatasetName) {
-    let s = StandardScenario::build(ScenarioConfig::with_scale(scale, seed));
-    let (seq, seq_outcome) = s.run_with_outcome(name);
-    for k in SHARD_COUNTS {
-        let (sharded, outcome) = s.run_with_outcome_sharded(name, k);
-        assert_eq!(
-            sharded, seq,
-            "{name} K={k} scale={scale} seed={seed}: dataset differs"
-        );
-        assert_eq!(
-            outcome, seq_outcome,
-            "{name} K={k} scale={scale} seed={seed}: outcome differs"
-        );
-    }
+/// The seeds of the mutated scenario.
+const SEEDS: [u64; 2] = [42, 7];
+
+/// One mutation of each kind, so every mutated code path runs in the pool.
+const MUTATIONS: [&str; 3] = [
+    "cache-evict@48:0.5",
+    "dc-down@72:milan",
+    "prefer-flip@96:frankfurt",
+];
+
+fn mutated_scenario(seed: u64) -> StandardScenario {
+    let mut s = StandardScenario::build(ScenarioConfig::with_scale(0.002, seed));
+    let specs: Vec<MutationSpec> = MUTATIONS
+        .iter()
+        .map(|m| m.parse().expect("test mutation specs are well-formed"))
+        .collect();
+    s.set_mutations(&specs)
+        .expect("test mutation cities exist in the standard topology");
+    s
 }
 
 #[test]
 fn all_datasets_identical_across_shard_counts() {
-    for name in DatasetName::ALL {
-        assert_differential(0.002, 42, name);
+    for seed in SEEDS {
+        let s = mutated_scenario(seed);
+        let baseline = s.run_all_sharded(1);
+        for jobs in JOB_COUNTS {
+            assert_eq!(
+                s.run_all_sharded(jobs),
+                baseline,
+                "seed={seed} jobs={jobs}: datasets differ"
+            );
+        }
     }
 }
 
+/// The pool returns, in Table I order, exactly what simulating each
+/// dataset on its own returns, so `generate --dataset` and the
+/// all-datasets path agree.
 #[test]
 fn identity_holds_across_seeds() {
     for seed in [0, 7, 0xDEAD_BEEF] {
-        assert_differential(0.002, seed, DatasetName::UsCampus);
-        assert_differential(0.002, seed, DatasetName::Eu2);
-    }
-}
-
-#[test]
-fn identity_holds_across_scales() {
-    for scale in [0.0005, 0.004] {
-        assert_differential(scale, 11, DatasetName::Eu1Adsl);
-    }
-}
-
-/// At a minuscule scale the whole week has fewer sessions than shards, so
-/// (by pigeonhole) some shards simulate nothing at all; the merge must still
-/// reproduce the sequential output exactly.
-#[test]
-fn zero_session_shards_are_harmless() {
-    let s = StandardScenario::build(ScenarioConfig::with_scale(0.0001, 5));
-    let name = DatasetName::Eu1Ftth; // 70 000/week in Table I → ~7 sessions
-    let (seq, seq_outcome) = s.run_with_outcome(name);
-    assert!(
-        seq_outcome.sessions < 16,
-        "scale not small enough: {} sessions",
-        seq_outcome.sessions
-    );
-    for k in SHARD_COUNTS {
-        let (sharded, outcome) = s.run_with_outcome_sharded(name, k);
-        assert_eq!(sharded, seq, "K={k}");
-        assert_eq!(outcome, seq_outcome, "K={k}");
+        let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, seed));
+        let single: Vec<Dataset> = DatasetName::ALL.iter().map(|&n| s.run(n)).collect();
+        for jobs in [2, 8] {
+            assert_eq!(s.run_all_sharded(jobs), single, "seed={seed} jobs={jobs}");
+        }
     }
 }
 
@@ -79,64 +68,65 @@ fn zero_session_shards_are_harmless() {
 /// same bytes, not merely structurally equal datasets.
 #[test]
 fn serialized_exports_are_byte_identical() {
-    let s = StandardScenario::build(ScenarioConfig::with_scale(0.002, 42));
-    let mut seq_bytes = Vec::new();
-    ytcdn_tstat::write_textlog(&s.run(DatasetName::UsCampus), &mut seq_bytes).unwrap();
-    for k in SHARD_COUNTS {
-        let mut sharded_bytes = Vec::new();
-        ytcdn_tstat::write_textlog(&s.run_sharded(DatasetName::UsCampus, k), &mut sharded_bytes)
-            .unwrap();
-        assert!(sharded_bytes == seq_bytes, "K={k}: serialized bytes differ");
+    let text_logs = |datasets: Vec<Dataset>| -> Vec<Vec<u8>> {
+        datasets
+            .iter()
+            .map(|ds| {
+                let mut bytes = Vec::new();
+                ytcdn_tstat::write_textlog(ds, &mut bytes).unwrap();
+                bytes
+            })
+            .collect()
+    };
+    for seed in SEEDS {
+        let s = mutated_scenario(seed);
+        let baseline = text_logs(s.run_all_sharded(1));
+        for jobs in JOB_COUNTS {
+            let logs = text_logs(s.run_all_sharded(jobs));
+            for (name, (got, want)) in DatasetName::ALL.iter().zip(logs.iter().zip(&baseline)) {
+                assert!(
+                    got == want,
+                    "seed={seed} jobs={jobs}: {name} serialized bytes differ"
+                );
+            }
+        }
     }
 }
 
-/// Telemetry counters sum to the sequential values: the prepass replays
-/// every session prelude but must never be instrumented, and per-shard
-/// engine counters must add up exactly.
+/// Engine counters are plain per-session sums, so they equal the
+/// one-thread run's whatever thread simulated which dataset.
 #[test]
 fn telemetry_counters_match_sequential() {
-    let cfg = ScenarioConfig::with_scale(0.002, 3);
-    let name = DatasetName::Eu1Campus;
-
-    let snapshot = |sharded: Option<usize>| {
-        let mut s = StandardScenario::build(cfg);
-        s.set_telemetry(Telemetry::metrics_only());
-        match sharded {
-            None => s.run(name),
-            Some(k) => s.run_sharded(name, k),
+    for seed in SEEDS {
+        let snapshot = |jobs: usize| {
+            let mut s = mutated_scenario(seed);
+            s.set_telemetry(Telemetry::metrics_only());
+            s.run_all_sharded(jobs);
+            s.telemetry().metrics_snapshot().unwrap()
         };
-        s.telemetry().metrics_snapshot().unwrap()
-    };
-
-    let seq = snapshot(None);
-    for k in SHARD_COUNTS {
-        let sh = snapshot(Some(k));
-        for counter in [
-            "scenario.sessions",
-            "scenario.flows",
-            "engine.cache_miss",
-            "engine.redirect.content_miss",
-            "engine.redirect.wrong_guess",
-            "engine.redirect.overload",
-            "placement.replication",
-        ] {
+        let seq = snapshot(1);
+        for jobs in JOB_COUNTS {
+            let par = snapshot(jobs);
+            for counter in [
+                "scenario.sessions",
+                "scenario.flows",
+                "engine.cache_miss",
+                "engine.redirect.content_miss",
+                "engine.redirect.wrong_guess",
+                "engine.redirect.overload",
+                "placement.replication",
+            ] {
+                assert_eq!(
+                    par.counter(counter),
+                    seq.counter(counter),
+                    "seed={seed} jobs={jobs}: counter {counter} diverged"
+                );
+            }
             assert_eq!(
-                sh.counter(counter),
-                seq.counter(counter),
-                "K={k}: counter {counter} diverged"
+                par.histograms["engine.chain_hops"].count,
+                seq.histograms["engine.chain_hops"].count,
+                "seed={seed} jobs={jobs}: chain_hops count diverged"
             );
         }
-        assert_eq!(
-            sh.histograms["engine.chain_hops"].count, seq.histograms["engine.chain_hops"].count,
-            "K={k}: chain_hops count diverged"
-        );
-        // The merge pass schedules exactly the replications the sequential
-        // engine performs; one shard runs the live engine, with no merge.
-        let merged = if k == 1 {
-            0
-        } else {
-            seq.counter("placement.replication")
-        };
-        assert_eq!(sh.counter("shard.pulls_scheduled"), merged, "K={k}");
     }
 }
