@@ -6,11 +6,12 @@
 //! in-ISP data center), and everything else.
 
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::World;
 use ytcdn_netsim::WellKnownAs;
-use ytcdn_tstat::{Dataset, DatasetName};
+use ytcdn_tstat::DatasetName;
+
+use crate::servers::ServerTable;
 
 /// Share of servers and bytes for one AS bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -37,26 +38,22 @@ impl AsBreakdown {
     }
 }
 
-/// Computes the Table II row for a dataset.
-pub fn as_breakdown(world: &World, dataset: &Dataset) -> AsBreakdown {
-    let home = world.vantage(dataset.name()).home_as;
+/// Computes the Table II row for dataset `name` from its server table,
+/// classifying each distinct server once.
+pub fn as_breakdown(world: &World, name: DatasetName, servers: &ServerTable) -> AsBreakdown {
+    let home = world.vantage(name).home_as;
     let registry = world.topology().registry();
 
     let mut server_count: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
     let mut bytes: BTreeMap<WellKnownAs, u64> = BTreeMap::new();
-    let mut seen: std::collections::HashSet<Ipv4Addr> = Default::default();
-    let mut total_bytes = 0u64;
-
-    for r in dataset.iter() {
-        let bucket = registry.classify(r.server_ip, home);
-        *bytes.entry(bucket).or_default() += r.bytes;
-        total_bytes += r.bytes;
-        if seen.insert(r.server_ip) {
-            *server_count.entry(bucket).or_default() += 1;
-        }
+    for (&ip, &b) in servers.ips().iter().zip(servers.bytes()) {
+        let bucket = registry.classify(ip, home);
+        *bytes.entry(bucket).or_default() += b;
+        *server_count.entry(bucket).or_default() += 1;
     }
+    let total_bytes: u64 = servers.bytes().iter().sum();
 
-    let total_servers = seen.len() as f64;
+    let total_servers = servers.len() as f64;
     let shares = WellKnownAs::buckets()
         .iter()
         .map(|&b| {
@@ -76,7 +73,7 @@ pub fn as_breakdown(world: &World, dataset: &Dataset) -> AsBreakdown {
         })
         .collect();
     AsBreakdown {
-        dataset: dataset.name(),
+        dataset: name,
         shares,
     }
 }
@@ -102,12 +99,13 @@ impl WellKnownAsExt for WellKnownAs {
 mod tests {
     use super::*;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
+    use ytcdn_tstat::Dataset;
 
     fn rows() -> Vec<AsBreakdown> {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 17));
         s.run_all_sharded(1)
             .iter()
-            .map(|ds| as_breakdown(s.world(), ds))
+            .map(|ds| as_breakdown(s.world(), ds.name(), &ServerTable::build(ds)))
             .collect()
     }
 
@@ -184,7 +182,7 @@ mod tests {
     fn empty_dataset_all_zero() {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.01, 17));
         let empty = Dataset::new(DatasetName::Eu2);
-        let row = as_breakdown(s.world(), &empty);
+        let row = as_breakdown(s.world(), empty.name(), &ServerTable::build(&empty));
         for b in WellKnownAs::buckets() {
             assert_eq!(row.share(b).servers_pct, 0.0);
             assert_eq!(row.share(b).bytes_pct, 0.0);

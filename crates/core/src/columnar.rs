@@ -97,6 +97,12 @@ pub enum FormatError {
         /// The tag found.
         found: u8,
     },
+    /// The provenance header holds a value no producer writes: a scale
+    /// outside `(0, 1]` or a mutation spec that is not UTF-8.
+    BadHeader {
+        /// What is wrong with it.
+        reason: String,
+    },
     /// A varint ran past 10 bytes or past the end of its block.
     BadVarint {
         /// Which field was being decoded.
@@ -181,6 +187,7 @@ impl fmt::Display for FormatError {
                 f,
                 "unexpected column block tag {found} (want {expected} at this position)"
             ),
+            Self::BadHeader { reason } => write!(f, "bad header: {reason}"),
             Self::BadVarint { what } => write!(f, "malformed varint while decoding {what}"),
             Self::BadHourIndex { reason } => write!(f, "bad hour index: {reason}"),
             Self::BadDictionary { what } => write!(f, "bad dictionary: {what}"),
@@ -333,10 +340,12 @@ impl YtcFile {
     ///
     /// # Errors
     ///
-    /// [`FormatError::DuplicateDataset`] if two datasets share a vantage
-    /// point, or [`FormatError::MalformedRecord`] from
+    /// [`FormatError::BadHeader`] if the header's scale is outside
+    /// `(0, 1]`, [`FormatError::DuplicateDataset`] if two datasets share a
+    /// vantage point, or [`FormatError::MalformedRecord`] from
     /// [`ColumnarDataset::from_dataset`].
     pub fn new(header: YtcHeader, datasets: Vec<Dataset>) -> FormatResult<Self> {
+        check_scale(header.scale)?;
         let mut seen = [false; DatasetName::ALL.len()];
         for ds in &datasets {
             let slot = name_code(ds.name()) as usize;
@@ -771,9 +780,22 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The scales `ytcdn generate --scale` accepts, `(0, 1]`; NaN fails both
+/// comparisons.
+fn check_scale(scale: f64) -> FormatResult<()> {
+    if scale > 0.0 && scale <= 1.0 {
+        Ok(())
+    } else {
+        Err(FormatError::BadHeader {
+            reason: format!("scale {scale} outside (0, 1]"),
+        })
+    }
+}
+
 fn decode_header(bytes: &[u8]) -> FormatResult<(YtcHeader, u64)> {
     let mut r = Reader::new(bytes);
     let scale = f64::from_bits(r.u64_le("header scale")?);
+    check_scale(scale)?;
     let seed = r.u64_le("header seed")?;
     let mutation_count = r.varint("mutation count")?;
     let mut mutations = Vec::new();
@@ -781,8 +803,8 @@ fn decode_header(bytes: &[u8]) -> FormatResult<(YtcHeader, u64)> {
         let len = wire_len(r.varint("mutation length")?, "mutation length")?;
         let raw = r.take(len, "mutation spec")?;
         let spec = std::str::from_utf8(raw)
-            .map_err(|_| FormatError::BadVarint {
-                what: "mutation spec utf-8",
+            .map_err(|_| FormatError::BadHeader {
+                reason: "mutation spec is not UTF-8".to_owned(),
             })?
             .to_owned();
         mutations.push(spec);
@@ -1154,6 +1176,58 @@ mod tests {
             r.varint("test"),
             Err(FormatError::BadVarint { .. })
         ));
+    }
+
+    /// A file image with valid checksums around an arbitrary header
+    /// payload and no dataset sections.
+    fn file_with_header(payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&sha256(payload));
+        let digest = sha256(&out);
+        out.extend_from_slice(&digest);
+        out
+    }
+
+    #[test]
+    fn header_scale_outside_unit_interval_is_rejected() {
+        let header = |scale| YtcHeader {
+            scale,
+            seed: 42,
+            mutations: vec![],
+        };
+        for scale in [f64::NAN, -1.0, 0.0, f64::INFINITY, 2.0] {
+            let built = YtcFile::new(header(scale), vec![]);
+            assert!(
+                matches!(built, Err(FormatError::BadHeader { .. })),
+                "encode side accepted scale {scale}"
+            );
+            let image = file_with_header(&encode_header(&header(scale), 0));
+            assert!(
+                matches!(YtcFile::decode(&image), Err(FormatError::BadHeader { .. })),
+                "decode side accepted scale {scale}"
+            );
+        }
+        let file = YtcFile::new(header(1.0), vec![]).expect("scale 1 is valid");
+        assert_eq!(YtcFile::decode(&file.encode()).unwrap(), file);
+        let image = file_with_header(&encode_header(&header(1.0), 0));
+        assert_eq!(YtcFile::decode(&image).unwrap(), file);
+    }
+
+    #[test]
+    fn mutation_spec_that_is_not_utf8_is_a_bad_header() {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(&7u64.to_le_bytes());
+        push_varint(&mut payload, 1);
+        push_varint(&mut payload, 2);
+        payload.extend_from_slice(&[0xff, 0xfe]);
+        push_varint(&mut payload, 0);
+        let err = YtcFile::decode(&file_with_header(&payload)).unwrap_err();
+        assert!(matches!(err, FormatError::BadHeader { .. }), "{err}");
+        assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 
     #[test]

@@ -191,11 +191,6 @@ pub struct WatchReport {
     pub change_points: Vec<ChangePoint>,
 }
 
-/// The /24 network address of a server address.
-fn slash24(ip: Ipv4Addr) -> Ipv4Addr {
-    Ipv4Addr::from(u32::from(ip) & 0xffff_ff00)
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample, 0.0 when empty.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -281,6 +276,21 @@ impl WatchReport {
         let num_windows = hours.div_ceil(wh) as usize;
         let records = dataset.records();
 
+        // The /24 clusters are the server table's /24 runs: per server id
+        // its cluster, per cluster its network and data center (one /24
+        // maps to one data center). Cluster order is address order.
+        let servers = index.server_table();
+        let mut server_cluster = vec![0usize; servers.len()];
+        let mut cluster_meta: Vec<(Ipv4Addr, Option<usize>)> = Vec::new();
+        for (c, run) in servers.blocks().enumerate() {
+            let first = run.start;
+            let network = Ipv4Addr::from(u32::from(servers.ips()[first]) & 0xffff_ff00);
+            cluster_meta.push((network, index.dc_of_server(first)));
+            server_cluster[run].fill(c);
+        }
+        let mut cluster_flows = vec![0u64; cluster_meta.len()];
+        let mut cluster_bytes = vec![0u64; cluster_meta.len()];
+
         // Startup samples (first-flow duration) per window, by session
         // start time.
         let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
@@ -308,27 +318,17 @@ impl WatchReport {
             let flow_start = index.hour_ranges()[start_hour as usize].start;
             let flow_end = index.hour_ranges()[end_hour as usize - 1].end;
 
-            let mut by_cluster: BTreeMap<Ipv4Addr, ClusterMass> = BTreeMap::new();
-            let mut dc_flows: BTreeMap<usize, u64> = BTreeMap::new();
-            let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
+            cluster_flows.fill(0);
+            cluster_bytes.fill(0);
             let mut video_flows = 0u64;
             let mut non_preferred = 0u64;
             for (i, r) in records.iter().enumerate().take(flow_end).skip(flow_start) {
-                let Some(dc) = index.dc_of_flow(i) else {
+                let s = servers.server_of_flow(i);
+                let Some(dc) = index.dc_of_server(s) else {
                     continue;
                 };
-                let cluster = by_cluster
-                    .entry(slash24(r.server_ip))
-                    .or_insert(ClusterMass {
-                        slash24: slash24(r.server_ip),
-                        dc,
-                        flows: 0,
-                        bytes: 0,
-                    });
-                cluster.flows += 1;
-                cluster.bytes += r.bytes;
-                *dc_flows.entry(dc).or_insert(0) += 1;
-                *dc_bytes.entry(dc).or_insert(0) += r.bytes;
+                cluster_flows[server_cluster[s]] += 1;
+                cluster_bytes[server_cluster[s]] += r.bytes;
                 if index.is_video_flow(i) {
                     video_flows += 1;
                     if dc != index.preferred_index() {
@@ -336,9 +336,30 @@ impl WatchReport {
                     }
                 }
             }
+            // The constellation and its per-DC totals, keyed by the data
+            // centers with at least one flow in the window.
+            let clusters: Vec<ClusterMass> = cluster_meta
+                .iter()
+                .zip(cluster_flows.iter().zip(&cluster_bytes))
+                .filter_map(|(&(slash24, dc), (&flows, &bytes))| match dc {
+                    Some(dc) if flows > 0 => Some(ClusterMass {
+                        slash24,
+                        dc,
+                        flows,
+                        bytes,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            let mut dc_flows: BTreeMap<usize, u64> = BTreeMap::new();
+            let mut dc_bytes: BTreeMap<usize, u64> = BTreeMap::new();
+            for c in &clusters {
+                *dc_flows.entry(c.dc).or_insert(0) += c.flows;
+                *dc_bytes.entry(c.dc).or_insert(0) += c.bytes;
+            }
 
             let analysis_flows: u64 = dc_flows.values().sum();
-            let bytes: u64 = by_cluster.values().map(|c| c.bytes).sum();
+            let bytes: u64 = clusters.iter().map(|c| c.bytes).sum();
             let active = analysis_flows >= config.min_flows;
             let distance = if active {
                 regime_distance(&dc_flows, &pool)
@@ -400,7 +421,7 @@ impl WatchReport {
                 dc_bytes_p50: percentile(&dc_sorted, 0.50),
                 dc_bytes_p90: percentile(&dc_sorted, 0.90),
                 dc_bytes_p99: percentile(&dc_sorted, 0.99),
-                clusters: by_cluster.into_values().collect(),
+                clusters,
                 distance,
             });
         }

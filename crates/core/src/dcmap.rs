@@ -7,10 +7,11 @@
 //! carrying the dominant share of bytes, which is also the lowest-RTT one;
 //! for EU2, the lower-RTT of the two dominant ones).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use crate::error::{AnalysisError, AnalysisResult};
+use crate::servers::ServerTable;
 use ytcdn_cdnsim::World;
 use ytcdn_geoloc::CityCluster;
 use ytcdn_geomodel::{CityDb, Continent, Coord};
@@ -122,7 +123,13 @@ pub struct AnalysisContext {
 impl AnalysisContext {
     /// Builds the context from the ground-truth data-center map.
     pub fn from_ground_truth(world: &World, dataset: &Dataset) -> Self {
-        match Self::from_map(world, dataset, DcMap::from_world(world)) {
+        Self::ground_truth(world, dataset, &ServerTable::build(dataset))
+    }
+
+    /// [`AnalysisContext::from_ground_truth`] over an already built
+    /// server table of `dataset`.
+    pub(crate) fn ground_truth(world: &World, dataset: &Dataset, servers: &ServerTable) -> Self {
+        match Self::from_servers(world, dataset, servers, DcMap::from_world(world)) {
             Ok(ctx) => ctx,
             // Unreachable: the simulated world always defines its analysis
             // data centers, independent of what the dataset captured.
@@ -143,6 +150,22 @@ impl AnalysisContext {
     /// a CBG pass over a dataset that captured no analysis servers — since
     /// no preferred data center can be picked.
     pub fn from_map(world: &World, dataset: &Dataset, map: DcMap) -> AnalysisResult<Self> {
+        Self::from_servers(world, dataset, &ServerTable::build(dataset), map)
+    }
+
+    /// [`AnalysisContext::from_map`] over an already built server table of
+    /// `dataset`: the map is probed once per distinct server, and the
+    /// per-data-center traffic is summed from per-server totals.
+    ///
+    /// # Errors
+    ///
+    /// As [`AnalysisContext::from_map`].
+    pub fn from_servers(
+        world: &World,
+        dataset: &Dataset,
+        servers: &ServerTable,
+        map: DcMap,
+    ) -> AnalysisResult<Self> {
         let name = dataset.name();
         if map.is_empty() {
             return Err(AnalysisError::NoDataCenters {
@@ -152,17 +175,28 @@ impl AnalysisContext {
         let vantage_coord = world.vantage(name).city.coord;
         let classifier = FlowClassifier::default();
 
-        // Traffic per data center.
+        // Video traffic per server, then per data center. Ids ascend with
+        // the address, so each center's first ids are its lowest addresses.
+        let mut server_video = vec![(0u64, 0u64); servers.len()];
+        for (r, &s) in dataset.iter().zip(servers.flow_servers()) {
+            if classifier.classify(r) == ytcdn_tstat::FlowClass::Video {
+                let (bytes, flows) = &mut server_video[s as usize];
+                *bytes += r.bytes;
+                *flows += 1;
+            }
+        }
         let n = map.metas.len();
         let mut video_bytes = vec![0u64; n];
         let mut video_flows = vec![0u64; n];
-        let mut servers: Vec<BTreeSet<Ipv4Addr>> = vec![BTreeSet::new(); n];
-        for r in dataset.iter() {
-            if let Some(idx) = map.dc_of(r.server_ip) {
-                servers[idx].insert(r.server_ip);
-                if classifier.classify(r) == ytcdn_tstat::FlowClass::Video {
-                    video_bytes[idx] += r.bytes;
-                    video_flows[idx] += 1;
+        let mut servers_seen = vec![0usize; n];
+        let mut ping_targets: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); n];
+        for (&ip, &(bytes, flows)) in servers.ips().iter().zip(&server_video) {
+            if let Some(idx) = map.dc_of(ip) {
+                video_bytes[idx] += bytes;
+                video_flows[idx] += flows;
+                servers_seen[idx] += 1;
+                if ping_targets[idx].len() < RTT_PING_SERVERS {
+                    ping_targets[idx].push(ip);
                 }
             }
         }
@@ -173,9 +207,8 @@ impl AnalysisContext {
             .iter()
             .enumerate()
             .map(|(idx, (city_name, coord, continent))| {
-                let rtt_ms = servers[idx]
+                let rtt_ms = ping_targets[idx]
                     .iter()
-                    .take(RTT_PING_SERVERS)
                     .filter_map(|&ip| world.ping_server(name, ip, 10, 77))
                     .map(|m| m.min_ms)
                     .fold(f64::INFINITY, f64::min);
@@ -195,7 +228,7 @@ impl AnalysisContext {
                     distance_km: vantage_coord.distance_km(*coord),
                     video_bytes: video_bytes[idx],
                     video_flows: video_flows[idx],
-                    servers_seen: servers[idx].len(),
+                    servers_seen: servers_seen[idx],
                 }
             })
             .collect();
@@ -234,6 +267,12 @@ impl AnalysisContext {
     /// server (Google AS or the EU2 internal center).
     pub fn dc_of(&self, r: &FlowRecord) -> Option<usize> {
         self.map.dc_of(r.server_ip)
+    }
+
+    /// The data-center index of a server address, if it is an analysis
+    /// server.
+    pub fn dc_of_server(&self, ip: Ipv4Addr) -> Option<usize> {
+        self.map.dc_of(ip)
     }
 
     /// Whether a flow was served by the preferred data center; `None` when

@@ -8,6 +8,7 @@
 
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
 use ytcdn_cdnsim::parallel::map_in_order;
 use ytcdn_cdnsim::{ActiveConfig, ActiveExperiment, ScenarioConfig, StandardScenario};
@@ -29,6 +30,7 @@ use crate::hotspot::{
 };
 use crate::index::{DatasetIndex, DEFAULT_GAP_MS};
 use crate::preferred::{bytes_by_distance, bytes_by_rtt, closest_k_share};
+use crate::servers::ServerTable;
 use crate::stats::Cdf;
 use crate::subnet::subnet_shares;
 use crate::timeseries::{
@@ -200,9 +202,10 @@ impl ExperimentSuite {
         Self::assemble(config, scenario, datasets, hours, telemetry)
     }
 
-    /// Builds the five analysis contexts, then the five indexes (reusing
-    /// any hour ranges a `.ytc` load brought along), each phase on up to
-    /// `jobs` scoped threads with results placed by dataset slot.
+    /// Builds the five server tables and analysis contexts, then the five
+    /// indexes (each taking over its dataset's table and reusing any hour
+    /// ranges a `.ytc` load brought along), each phase on up to `jobs`
+    /// scoped threads with results placed by dataset slot.
     fn assemble(
         config: SuiteConfig,
         scenario: StandardScenario,
@@ -214,17 +217,28 @@ impl ExperimentSuite {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             jobs => jobs,
         };
-        let contexts = {
+        let (tables, contexts): (Vec<Arc<ServerTable>>, Vec<AnalysisContext>) = {
             let _span = telemetry.span("suite.contexts");
             map_in_order(&datasets, jobs, |ds| {
-                AnalysisContext::from_ground_truth(scenario.world(), ds)
+                let servers = ServerTable::build(ds);
+                let ctx = AnalysisContext::ground_truth(scenario.world(), ds, &servers);
+                (Arc::new(servers), ctx)
             })
+            .into_iter()
+            .unzip()
         };
         let indexes = {
             let _span = telemetry.span("suite.indexes");
-            let inputs: Vec<_> = datasets.iter().zip(&contexts).zip(hours).collect();
-            map_in_order(&inputs, jobs, |((ds, ctx), hours)| {
-                DatasetIndex::with_hours(ctx, ds, hours.as_deref(), telemetry.clone())
+            let inputs: Vec<_> = datasets
+                .iter()
+                .zip(&contexts)
+                .zip(&tables)
+                .zip(hours)
+                .map(|(((ds, ctx), servers), hours)| (ds, ctx, servers, hours))
+                .collect();
+            map_in_order(&inputs, jobs, |(ds, ctx, servers, hours)| {
+                let servers = Arc::clone(servers);
+                DatasetIndex::with_servers(ctx, ds, servers, hours.as_deref(), telemetry.clone())
             })
         };
         Self {
@@ -327,7 +341,7 @@ impl ExperimentSuite {
             self.telemetry.counter("geo.cache_miss").inc();
             crate::index::GeoIndex::build(
                 self.scenario.world(),
-                &self.datasets,
+                &self.indexes,
                 self.cbg(),
                 self.config.scenario.seed ^ 0xF16,
                 self.jobs,
@@ -402,8 +416,8 @@ impl ExperimentSuite {
             "{:<11} {:>9} {:>12} {:>8} {:>8}",
             "Dataset", "flows", "volume[GB]", "servers", "clients"
         );
-        for ds in &self.datasets {
-            let s = ds.summary();
+        for index in &self.indexes {
+            let s = index.summary();
             let _ = writeln!(
                 out,
                 "{:<11} {:>9} {:>12.2} {:>8} {:>8}",
@@ -427,9 +441,10 @@ impl ExperimentSuite {
             "{:<11} {:>16} {:>16} {:>16} {:>16}",
             "Dataset", "Google(srv/byte)", "YT-EU(srv/byte)", "SameAS(srv/byte)", "Other(srv/byte)"
         );
-        for ds in &self.datasets {
-            let row = as_breakdown(self.scenario.world(), ds);
-            let mut line = format!("{:<11}", ds.name().to_string());
+        for index in &self.indexes {
+            let name = index.dataset_name();
+            let row = as_breakdown(self.scenario.world(), name, index.server_table());
+            let mut line = format!("{:<11}", name.to_string());
             for b in WellKnownAs::buckets() {
                 let s = row.share(b);
                 let _ = write!(line, " {:>7.1}/{:<8.2}", s.servers_pct, s.bytes_pct);
@@ -478,17 +493,18 @@ impl ExperimentSuite {
             "{:<11} {:>9} {:>9} {:>9} {:>9}",
             "Dataset", "p10[ms]", "p50[ms]", "p90[ms]", "max[ms]"
         );
-        for ds in &self.datasets {
-            let cdf = server_rtt_cdf(self.scenario.world(), ds, 5);
+        for index in &self.indexes {
+            let name = index.dataset_name();
+            let cdf = server_rtt_cdf(self.scenario.world(), name, index.server_table(), 5);
             if cdf.is_empty() {
                 return Err(AnalysisError::EmptyDistribution {
-                    what: format!("{} server RTTs", ds.name()),
+                    what: format!("{name} server RTTs"),
                 });
             }
             let _ = writeln!(
                 out,
                 "{:<11} {:>9.1} {:>9.1} {:>9.1} {:>9.1}",
-                ds.name().to_string(),
+                name.to_string(),
                 cdf.try_percentile(10.0)?,
                 cdf.try_median()?,
                 cdf.try_percentile(90.0)?,
@@ -868,8 +884,7 @@ impl ExperimentSuite {
 
     /// Figure 15: avg/max per-server load in EU1-ADSL's preferred DC.
     pub fn fig15(&self) -> String {
-        let ds = self.dataset(DatasetName::Eu1Adsl);
-        let load = preferred_server_load_indexed(self.dataset_index(DatasetName::Eu1Adsl), ds);
+        let load = preferred_server_load_indexed(self.dataset_index(DatasetName::Eu1Adsl));
         let overall_avg = load.iter().map(|h| h.avg).sum::<f64>() / load.len().max(1) as f64;
         let peak = load
             .iter()
@@ -894,13 +909,12 @@ impl ExperimentSuite {
 
     /// Figure 16: session breakdown at the hottest preferred-DC server.
     pub fn fig16(&self) -> String {
-        let ds = self.dataset(DatasetName::Eu1Adsl);
         let index = self.dataset_index(DatasetName::Eu1Adsl);
-        let load = preferred_server_load_indexed(index, ds);
+        let load = preferred_server_load_indexed(index);
         let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) else {
             return "Figure 16 — no server load observed".into();
         };
-        let breakdown = server_session_breakdown_indexed(index, ds, hot);
+        let breakdown = server_session_breakdown_indexed(index, hot);
         let total: u64 = breakdown.iter().map(|h| h.total()).sum();
         let redirected: u64 = breakdown.iter().map(|h| h.first_preferred_then_non).sum();
         let peak_hour = breakdown

@@ -91,8 +91,8 @@ pub fn figure_series(suite: &ExperimentSuite, id: &str) -> AnalysisResult<Vec<Se
     };
     Ok(match id {
         "fig2" => per_dataset(&|n| {
-            let cdf =
-                crate::geo_analysis::server_rtt_cdf(suite.scenario().world(), suite.dataset(n), 5);
+            let servers = suite.dataset_index(n).server_table();
+            let cdf = crate::geo_analysis::server_rtt_cdf(suite.scenario().world(), n, servers, 5);
             Series::from_cdf(n.to_string(), &cdf)
         }),
         "fig3" => {
@@ -257,7 +257,7 @@ pub fn figure_series(suite: &ExperimentSuite, id: &str) -> AnalysisResult<Vec<Se
         }
         "fig15" => {
             let n = DatasetName::Eu1Adsl;
-            let load = preferred_server_load_indexed(suite.dataset_index(n), suite.dataset(n));
+            let load = preferred_server_load_indexed(suite.dataset_index(n));
             vec![
                 Series {
                     name: "avg".into(),
@@ -279,13 +279,12 @@ pub fn figure_series(suite: &ExperimentSuite, id: &str) -> AnalysisResult<Vec<Se
         }
         "fig16" => {
             let n = DatasetName::Eu1Adsl;
-            let ds = suite.dataset(n);
             let index = suite.dataset_index(n);
-            let load = preferred_server_load_indexed(index, ds);
+            let load = preferred_server_load_indexed(index);
             let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) else {
                 return Ok(Vec::new());
             };
-            let breakdown = server_session_breakdown_indexed(index, ds, hot);
+            let breakdown = server_session_breakdown_indexed(index, hot);
             let series =
                 |name: &str, f: &dyn Fn(&crate::hotspot::ServerSessionHour) -> u64| Series {
                     name: name.into(),

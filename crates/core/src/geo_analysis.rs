@@ -6,24 +6,29 @@
 //! for US vs European servers. Table III counts, per dataset, the servers
 //! geolocated to North America / Europe / elsewhere.
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::World;
 use ytcdn_geoloc::{Cbg, CbgResult};
 use ytcdn_geomodel::{CityDb, Continent, Coord, Table3Bucket};
 use ytcdn_netsim::{Endpoint, Ipv4Block, NoiseRng};
-use ytcdn_tstat::Dataset;
+use ytcdn_tstat::{Dataset, DatasetName};
 
-/// The Figure 2 curve: min-RTT from the vantage point to every distinct
-/// server of the dataset.
-pub fn server_rtt_cdf(world: &World, dataset: &Dataset, probes: u32) -> crate::stats::Cdf {
-    let name = dataset.name();
+use crate::servers::ServerTable;
+
+/// The Figure 2 curve: min-RTT from the vantage point of dataset `name`
+/// to every distinct server of its table.
+pub fn server_rtt_cdf(
+    world: &World,
+    name: DatasetName,
+    servers: &ServerTable,
+    probes: u32,
+) -> crate::stats::Cdf {
     crate::stats::Cdf::from_values(
-        dataset
-            .server_ips()
-            .into_iter()
-            .filter_map(|ip| world.ping_server(name, ip, probes, 1234))
+        servers
+            .ips()
+            .iter()
+            .filter_map(|&ip| world.ping_server(name, ip, probes, 1234))
             .map(|m| m.min_ms),
     )
 }
@@ -75,26 +80,22 @@ pub struct BlockLocation {
     pub truth_continent: Continent,
 }
 
-/// The /24 blocks of a dataset's servers that the world can place, in
-/// block order, each with its canonical endpoint and the member addresses
-/// the dataset observed (ascending).
-pub fn dataset_blocks(
+/// The /24 blocks of a dataset's servers that the world can place (i.e.
+/// with a pingable endpoint), in block order, each with its canonical
+/// endpoint and the member addresses the dataset observed (ascending) —
+/// the table's /24 runs.
+pub fn dataset_blocks<'a>(
     world: &World,
-    dataset: &Dataset,
-) -> Vec<(Ipv4Block, Endpoint, Vec<Ipv4Addr>)> {
-    let mut by_block: BTreeMap<Ipv4Block, (Endpoint, Vec<Ipv4Addr>)> = BTreeMap::new();
-    for ip in dataset.server_ips() {
-        let block = Ipv4Block::slash24_of(ip);
-        // Only servers the world knows (i.e. with a pingable endpoint).
-        if let Some(entry) = by_block.get_mut(&block) {
-            entry.1.push(ip);
-        } else if let Some(endpoint) = world.topology().block_endpoint(block) {
-            by_block.insert(block, (endpoint, vec![ip]));
-        }
-    }
-    by_block
-        .into_iter()
-        .map(|(block, (endpoint, ips))| (block, endpoint, ips))
+    servers: &'a ServerTable,
+) -> Vec<(Ipv4Block, Endpoint, &'a [Ipv4Addr])> {
+    servers
+        .blocks()
+        .filter_map(|run| {
+            let ips = &servers.ips()[run];
+            let block = Ipv4Block::slash24_of(ips[0]);
+            let endpoint = world.topology().block_endpoint(block)?;
+            Some((block, endpoint, ips))
+        })
         .collect()
 }
 
@@ -155,7 +156,8 @@ pub fn geolocate_servers(
     seed: u64,
     jobs: usize,
 ) -> Vec<ServerLocation> {
-    let blocks = dataset_blocks(world, dataset);
+    let servers = ServerTable::build(dataset);
+    let blocks = dataset_blocks(world, &servers);
     let targets: Vec<(Ipv4Block, Endpoint)> =
         blocks.iter().map(|&(block, ep, _)| (block, ep)).collect();
     let locs = localize_blocks(cbg, seed, &targets, jobs);
@@ -247,8 +249,8 @@ mod tests {
         let s = scenario();
         let us = s.run(DatasetName::UsCampus);
         let eu = s.run(DatasetName::Eu1Ftth);
-        let us_cdf = server_rtt_cdf(s.world(), &us, 3);
-        let eu_cdf = server_rtt_cdf(s.world(), &eu, 3);
+        let us_cdf = server_rtt_cdf(s.world(), us.name(), &ServerTable::build(&us), 3);
+        let eu_cdf = server_rtt_cdf(s.world(), eu.name(), &ServerTable::build(&eu), 3);
         assert!(!us_cdf.is_empty() && !eu_cdf.is_empty());
         // Both vantage points see a wide RTT spread — incompatible with a
         // single server location (the paper's Maxmind refutation).

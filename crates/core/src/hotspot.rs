@@ -6,7 +6,8 @@
 //! average exactly then, and that the affected server's sessions switch
 //! from all-preferred to (preferred → non-preferred) redirection patterns.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use ytcdn_tstat::{Dataset, VideoId, HOUR_MS};
@@ -126,77 +127,40 @@ pub struct ServerLoadHour {
 }
 
 /// Hourly average and maximum per-server request load in the preferred data
-/// center. "Requests" counts every flow a server answers — control flows
-/// included, since a redirecting server still served the request.
-pub fn preferred_server_load(ctx: &AnalysisContext, dataset: &Dataset) -> Vec<ServerLoadHour> {
-    let last_hour = dataset
-        .records()
-        .iter()
-        .map(|r| r.start_ms / HOUR_MS)
-        .max()
-        .unwrap_or(0);
-    let mut per_hour: Vec<HashMap<Ipv4Addr, u64>> = vec![HashMap::new(); last_hour as usize + 1];
-    let pref_idx = ctx.preferred().index;
-    for r in dataset.iter() {
-        if ctx.dc_of(r) != Some(pref_idx) {
-            continue;
-        }
-        *per_hour[(r.start_ms / HOUR_MS) as usize]
-            .entry(r.server_ip)
-            .or_default() += 1;
-    }
-    let denominator = ctx.preferred().servers_seen.max(1) as f64;
-    per_hour
-        .into_iter()
-        .map(|m| {
-            let total: u64 = m.values().sum();
-            let (max_server, max) = m
-                .into_iter()
-                .max_by_key(|&(ip, n)| (n, std::cmp::Reverse(ip)))
-                .map(|(ip, n)| (Some(ip), n))
-                .unwrap_or((None, 0));
-            ServerLoadHour {
-                avg: total as f64 / denominator,
-                max,
-                max_server,
-            }
-        })
-        .collect()
-}
-
-/// [`preferred_server_load`] answered from the columnar index. The
-/// maximum uses the same total-order key as the direct path, so switching
-/// the per-hour accumulator to a `BTreeMap` cannot change the output.
-pub fn preferred_server_load_indexed(
-    index: &DatasetIndex,
-    dataset: &Dataset,
-) -> Vec<ServerLoadHour> {
+/// center, read off the index's per-flow server ids. "Requests" counts
+/// every flow a server answers — control flows included, since a
+/// redirecting server still served the request. The busiest server wins
+/// ties by lowest address: ids ascend with the address, so the key
+/// `(n, Reverse(id))` orders servers exactly as `(n, Reverse(ip))` does.
+pub fn preferred_server_load_indexed(index: &DatasetIndex) -> Vec<ServerLoadHour> {
     let pref_idx = index.preferred_index();
     let denominator = index.preferred_servers_seen().max(1) as f64;
-    let records = dataset.records();
-    index
-        .hour_ranges()
-        .iter()
-        .map(|range| {
-            let mut m: BTreeMap<Ipv4Addr, u64> = BTreeMap::new();
-            for i in range.clone() {
-                if index.dc_of_flow(i) == Some(pref_idx) {
-                    *m.entry(records[i].server_ip).or_default() += 1;
-                }
+    let servers = index.server_table();
+    let mut counts = vec![0u64; servers.len()];
+    let mut out = Vec::with_capacity(index.hour_ranges().len());
+    for range in index.hour_ranges() {
+        counts.fill(0);
+        let mut total = 0u64;
+        for &s in &servers.flow_servers()[range.clone()] {
+            if index.dc_of_server(s as usize) == Some(pref_idx) {
+                counts[s as usize] += 1;
+                total += 1;
             }
-            let total: u64 = m.values().sum();
-            let (max_server, max) = m
-                .into_iter()
-                .max_by_key(|&(ip, n)| (n, std::cmp::Reverse(ip)))
-                .map(|(ip, n)| (Some(ip), n))
-                .unwrap_or((None, 0));
-            ServerLoadHour {
-                avg: total as f64 / denominator,
-                max,
-                max_server,
-            }
-        })
-        .collect()
+        }
+        let (max_server, max) = counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .max_by_key(|&(s, &n)| (n, Reverse(s)))
+            .map(|(s, &n)| (Some(servers.ips()[s]), n))
+            .unwrap_or((None, 0));
+        out.push(ServerLoadHour {
+            avg: total as f64 / denominator,
+            max,
+            max_server,
+        });
+    }
+    out
 }
 
 /// Hourly session-pattern breakdown at one server (Figure 16).
@@ -248,12 +212,13 @@ pub fn server_session_breakdown(
 }
 
 /// [`server_session_breakdown`] over the index's default-gap sessions,
-/// with per-flow targets read from the columns.
+/// with per-flow servers and targets read from the columns.
 pub fn server_session_breakdown_indexed(
     index: &DatasetIndex,
-    dataset: &Dataset,
     server: Ipv4Addr,
 ) -> Vec<ServerSessionHour> {
+    let servers = index.server_table();
+    let server = servers.id_of(server);
     let sessions = index.sessions();
     let last_hour = sessions
         .iter()
@@ -262,7 +227,11 @@ pub fn server_session_breakdown_indexed(
         .unwrap_or(0);
     let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
     for s in sessions {
-        if !s.flows_iter(dataset).any(|f| f.server_ip == server) {
+        if !s
+            .flow_indices
+            .iter()
+            .any(|&i| Some(servers.server_of_flow(i)) == server)
+        {
             continue;
         }
         let slot = &mut out[(s.start_ms / HOUR_MS) as usize];
@@ -353,7 +322,8 @@ mod tests {
     #[test]
     fn max_server_load_spikes_above_average() {
         let (_, ds, ctx) = setup();
-        let load = preferred_server_load(&ctx, &ds);
+        let index = DatasetIndex::build(&ctx, &ds, ytcdn_telemetry::Telemetry::disabled());
+        let load = preferred_server_load_indexed(&index);
         let peak_ratio = load
             .iter()
             .filter(|h| h.avg > 0.5)
@@ -367,7 +337,8 @@ mod tests {
     #[test]
     fn hot_server_sessions_shift_to_redirection() {
         let (_, ds, ctx) = setup();
-        let load = preferred_server_load(&ctx, &ds);
+        let index = DatasetIndex::build(&ctx, &ds, ytcdn_telemetry::Telemetry::disabled());
+        let load = preferred_server_load_indexed(&index);
         let hot = load
             .iter()
             .max_by(|a, b| a.max.cmp(&b.max))
@@ -394,8 +365,8 @@ mod tests {
             video_timeseries_indexed(&index, &ds, top[0].0),
             video_timeseries(&ctx, &ds, top[0].0)
         );
-        let load = preferred_server_load(&ctx, &ds);
-        assert_eq!(preferred_server_load_indexed(&index, &ds), load);
+        // The server-load oracle lives with the differential suites.
+        let load = preferred_server_load_indexed(&index);
         let hot = load
             .iter()
             .max_by(|a, b| a.max.cmp(&b.max))
@@ -403,7 +374,7 @@ mod tests {
             .expect("some server saw load");
         let sessions = group_sessions(&ds, 1_000);
         assert_eq!(
-            server_session_breakdown_indexed(&index, &ds, hot),
+            server_session_breakdown_indexed(&index, hot),
             server_session_breakdown(&ctx, &ds, &sessions, hot)
         );
     }

@@ -4,13 +4,15 @@
 //! Before this layer, each experiment independently re-ran
 //! `group_sessions` + `classify_sessions` and re-probed the
 //! [`AnalysisContext`]'s `/24 → data center` map per flow. A
-//! [`DatasetIndex`] resolves those lookups exactly once into flat columns
-//! (`Vec<Option<u32>>` of data-center ids, `Vec<bool>` of video flags),
+//! [`DatasetIndex`] holds the dataset's [`ServerTable`] (a server id per
+//! flow) and probes the map once per distinct server, so a flow's data
+//! center is two array reads. It keeps a `Vec<bool>` of video flags,
 //! bins the (start-time-sorted) records into per-hour index ranges,
-//! aggregates per-server and per-data-center traffic, and derives every
-//! session question from two per-flow gap columns (see [`SessionGaps`]):
-//! the default-gap sessions and their classification once at build time,
-//! and session counts at any gap threshold on demand.
+//! sums per-server and per-data-center traffic from the table's
+//! per-server totals, and derives every session question from two
+//! per-flow gap columns (see [`SessionGaps`]): the default-gap sessions
+//! and their classification once at build time, and session counts at
+//! any gap threshold on demand.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
 //! (lint rule `DET003` applies to this module), so iteration order — and
@@ -19,12 +21,14 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::ops::Range;
+use std::sync::Arc;
 
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, HOUR_MS};
+use ytcdn_tstat::{Dataset, DatasetName, TrafficSummary, HOUR_MS};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
+use crate::servers::ServerTable;
 use crate::session::{sort_sessions, Session};
 
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
@@ -105,6 +109,9 @@ pub struct SessionGaps {
     /// Per flow: the index of the next flow of its group, [`NO_NEXT`] for
     /// the last.
     next: Vec<u32>,
+    /// Distinct clients: the keys sort client-major, so each client is one
+    /// run of keys.
+    clients: usize,
 }
 
 impl SessionGaps {
@@ -131,6 +138,7 @@ impl SessionGaps {
         let mut gap = vec![GROUP_START; n];
         let mut next = vec![NO_NEXT; n];
         let mut max_end = 0u64;
+        let mut clients = 0usize;
         let mut prev: Option<(u32, u64, u32)> = None;
         for &(client, video, i) in &keys {
             let r = &records[i as usize];
@@ -142,9 +150,10 @@ impl SessionGaps {
                 }
                 _ => max_end = r.end_ms,
             }
+            clients += usize::from(prev.is_none_or(|(c, _, _)| c != client));
             prev = Some((client, video, i));
         }
-        Self { gap, next }
+        Self { gap, next, clients }
     }
 
     /// The threshold the gap column is compared against. The direct
@@ -234,15 +243,18 @@ pub struct DatasetIndex {
     dataset_name: DatasetName,
     preferred: usize,
     preferred_servers_seen: usize,
-    /// Per flow: the analysis data-center index, `None` outside the
-    /// analysis ASes. `u32` keeps the column at 8 bytes/flow.
-    flow_dc: Vec<Option<u32>>,
+    /// The distinct servers and each flow's server id (4 bytes/flow),
+    /// shared with the suite that built it alongside the context.
+    servers: Arc<ServerTable>,
+    /// Per server id: the analysis data-center index, `None` outside the
+    /// analysis ASes.
+    server_dc: Vec<Option<u32>>,
     /// Per flow: whether the classifier calls it a video flow.
     flow_video: Vec<bool>,
     /// Per hour since trace start: the record-index range starting in it.
     hour_ranges: Vec<Range<usize>>,
     /// Per analysis server, sorted by address.
-    servers: Vec<ServerStats>,
+    server_rows: Vec<ServerStats>,
     /// Per data center: all analysis flows answered (control included).
     dc_flows: Vec<u64>,
     /// Per data center: all analysis bytes sent.
@@ -253,8 +265,9 @@ pub struct DatasetIndex {
 }
 
 impl DatasetIndex {
-    /// Builds the index: one pass over the records for the columns and
-    /// aggregates, one sort for the gap columns, and the default-gap
+    /// Builds the index: the dataset's [`ServerTable`], one pass over the
+    /// records for the video column, per-server and per-data-center sums
+    /// from the table, one sort for the gap columns, and the default-gap
     /// sessions walked off them.
     ///
     /// # Panics
@@ -263,7 +276,8 @@ impl DatasetIndex {
     /// dataset invariant every producer in this workspace upholds), or if
     /// `ctx` was built from a different dataset.
     pub fn build(ctx: &AnalysisContext, dataset: &Dataset, telemetry: Telemetry) -> Self {
-        Self::with_hours(ctx, dataset, None, telemetry)
+        let servers = Arc::new(ServerTable::build(dataset));
+        Self::with_servers(ctx, dataset, servers, None, telemetry)
     }
 
     /// Builds the index from decoded `.ytc` columns, reusing the hour
@@ -280,46 +294,47 @@ impl DatasetIndex {
         columnar: &crate::columnar::ColumnarDataset,
         telemetry: Telemetry,
     ) -> Self {
-        Self::with_hours(
-            ctx,
-            columnar.dataset(),
-            Some(columnar.hour_ranges()),
-            telemetry,
-        )
+        let dataset = columnar.dataset();
+        let hours = Some(columnar.hour_ranges());
+        let servers = Arc::new(ServerTable::build(dataset));
+        Self::with_servers(ctx, dataset, servers, hours, telemetry)
     }
 
-    /// [`DatasetIndex::build`], taking the per-hour ranges as given when
-    /// they are `Some` (a `.ytc` load validated them against the records).
-    pub(crate) fn with_hours(
+    /// [`DatasetIndex::build`] over the dataset's already built server
+    /// table, taking the per-hour ranges as given when they are `Some` (a
+    /// `.ytc` load validated them against the records).
+    pub(crate) fn with_servers(
         ctx: &AnalysisContext,
         dataset: &Dataset,
+        servers: Arc<ServerTable>,
         precomputed_hours: Option<&[Range<usize>]>,
         telemetry: Telemetry,
     ) -> Self {
         let span = telemetry.span("index.build");
         let records = dataset.records();
         let n = records.len();
+        debug_assert_eq!(servers.flow_servers().len(), n, "table of another dataset");
 
-        let mut flow_dc: Vec<Option<u32>> = Vec::with_capacity(n);
-        let mut flow_video: Vec<bool> = Vec::with_capacity(n);
-        let mut server_rows: BTreeMap<Ipv4Addr, ServerStats> = BTreeMap::new();
+        let flow_video: Vec<bool> = records.iter().map(|r| ctx.is_video(r)).collect();
+        let server_dc: Vec<Option<u32>> = servers
+            .ips()
+            .iter()
+            .map(|&ip| ctx.dc_of_server(ip).map(|d| d as u32))
+            .collect();
+        let mut server_rows = Vec::new();
         let mut dc_flows = vec![0u64; ctx.dcs().len()];
         let mut dc_bytes = vec![0u64; ctx.dcs().len()];
-        for r in records {
-            let dc = ctx.dc_of(r);
-            flow_dc.push(dc.map(|d| d as u32));
-            flow_video.push(ctx.is_video(r));
+        for (s, &dc) in server_dc.iter().enumerate() {
             if let Some(d) = dc {
-                dc_flows[d] += 1;
-                dc_bytes[d] += r.bytes;
-                let row = server_rows.entry(r.server_ip).or_insert(ServerStats {
-                    ip: r.server_ip,
-                    dc: d,
-                    flows: 0,
-                    bytes: 0,
-                });
-                row.flows += 1;
-                row.bytes += r.bytes;
+                let row = ServerStats {
+                    ip: servers.ips()[s],
+                    dc: d as usize,
+                    flows: servers.flows()[s],
+                    bytes: servers.bytes()[s],
+                };
+                dc_flows[row.dc] += row.flows;
+                dc_bytes[row.dc] += row.bytes;
+                server_rows.push(row);
             }
         }
 
@@ -361,10 +376,11 @@ impl DatasetIndex {
             dataset_name: dataset.name(),
             preferred: ctx.preferred().index,
             preferred_servers_seen: ctx.preferred().servers_seen,
-            flow_dc,
+            servers,
+            server_dc,
             flow_video,
             hour_ranges,
-            servers: server_rows.into_values().collect(),
+            server_rows,
             dc_flows,
             dc_bytes,
             gaps,
@@ -383,12 +399,35 @@ impl DatasetIndex {
 
     /// Number of flows indexed.
     pub fn len(&self) -> usize {
-        self.flow_dc.len()
+        self.flow_video.len()
     }
 
     /// Whether the dataset was empty.
     pub fn is_empty(&self) -> bool {
-        self.flow_dc.is_empty()
+        self.flow_video.is_empty()
+    }
+
+    /// The Table I row: flows, bytes, distinct servers and distinct
+    /// clients — equal to [`TrafficSummary::of`] over the dataset.
+    pub fn summary(&self) -> TrafficSummary {
+        TrafficSummary {
+            dataset: self.dataset_name,
+            flows: self.len(),
+            bytes: self.servers.bytes().iter().sum(),
+            servers: self.servers.len(),
+            clients: self.gaps.clients,
+        }
+    }
+
+    /// The dataset's distinct servers and per-flow server ids.
+    pub fn server_table(&self) -> &ServerTable {
+        &self.servers
+    }
+
+    /// The data-center index of server id `s`, `None` outside the analysis
+    /// ASes.
+    pub fn dc_of_server(&self, s: usize) -> Option<usize> {
+        self.server_dc[s].map(|d| d as usize)
     }
 
     /// The sessions at the paper's default gap (`T` = 1 s), in canonical
@@ -429,13 +468,13 @@ impl DatasetIndex {
     /// The data-center index serving flow `i`, `None` outside the analysis
     /// ASes — the columnar equivalent of [`AnalysisContext::dc_of`].
     pub fn dc_of_flow(&self, i: usize) -> Option<usize> {
-        self.flow_dc[i].map(|d| d as usize)
+        self.dc_of_server(self.servers.server_of_flow(i))
     }
 
     /// Whether flow `i` went to the preferred data center — the columnar
     /// equivalent of [`AnalysisContext::is_preferred`].
     pub fn is_preferred_flow(&self, i: usize) -> Option<bool> {
-        self.flow_dc[i].map(|d| d as usize == self.preferred)
+        self.dc_of_flow(i).map(|d| d == self.preferred)
     }
 
     /// Whether flow `i` is a video flow.
@@ -451,7 +490,7 @@ impl DatasetIndex {
 
     /// Per-server traffic aggregates, sorted by server address.
     pub fn servers(&self) -> &[ServerStats] {
-        &self.servers
+        &self.server_rows
     }
 
     /// Per-data-center flow counts (all analysis flows, control included),
@@ -540,26 +579,27 @@ impl GeoIndex {
     /// Localizes the union of all datasets' server blocks (in parallel
     /// across `jobs` threads) and splits the results back per dataset.
     ///
-    /// `datasets` must be the suite's five datasets in [`DatasetName::ALL`]
-    /// order — the same invariant the experiment suite's own vectors
-    /// uphold.
+    /// `indexes` must be the suite's five dataset indexes in
+    /// [`DatasetName::ALL`] order — the same invariant the experiment
+    /// suite's own vectors uphold. Each dataset's blocks are the /24 runs
+    /// of its [`ServerTable`].
     pub fn build(
         world: &ytcdn_cdnsim::World,
-        datasets: &[Dataset],
+        indexes: &[DatasetIndex],
         cbg: &ytcdn_geoloc::Cbg,
         seed: u64,
         jobs: usize,
         telemetry: Telemetry,
     ) -> Self {
         use crate::geo_analysis::{dataset_blocks, localize_blocks};
-        debug_assert!(datasets
+        debug_assert!(indexes
             .iter()
             .zip(DatasetName::ALL)
-            .all(|(ds, name)| ds.name() == name));
+            .all(|(index, name)| index.dataset_name() == name));
         let _span = telemetry.span("geo.localize");
-        let per_ds_blocks: Vec<_> = datasets
+        let per_ds_blocks: Vec<_> = indexes
             .iter()
-            .map(|ds| dataset_blocks(world, ds))
+            .map(|index| dataset_blocks(world, index.server_table()))
             .collect();
         let union: BTreeMap<ytcdn_netsim::Ipv4Block, ytcdn_netsim::Endpoint> = per_ds_blocks
             .iter()

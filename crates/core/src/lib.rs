@@ -23,6 +23,7 @@
 //! | geolocation results (Table III, Figs. 2–3) | [`geo_analysis`] |
 //! | active cold-video experiment (Figs. 17–18) | [`active_analysis`] |
 //! | empirical CDFs and binning | [`stats`] |
+//! | per-dataset server table (distinct servers, /24 runs) | [`servers`] |
 //! | shared per-dataset columnar index | [`index`] |
 //! | compact `.ytc` on-disk columnar format | [`columnar`] |
 //! | constellation tracking / change-point detection | [`constellation`] |
@@ -72,6 +73,7 @@ pub mod perf;
 pub mod preferred;
 pub mod report;
 pub mod scorecard;
+pub mod servers;
 pub mod session;
 pub mod sha256;
 pub mod stats;
@@ -85,5 +87,6 @@ pub use constellation::{ChangePoint, WatchConfig, WatchReport};
 pub use dcmap::{AnalysisContext, DcInfo, DcMap};
 pub use error::{AnalysisError, AnalysisResult};
 pub use index::{DatasetIndex, GeoIndex};
+pub use servers::ServerTable;
 pub use session::{group_sessions, Session};
 pub use stats::Cdf;

@@ -51,8 +51,8 @@ for log in "$smoke"/logs-1/*.log; do
 done
 
 # Watchtower smoke: a trace with one scheduled mutation must produce at
-# least one change point (and exit 0); the windowed-metrics JSONL must
-# carry the detection event.
+# least one change point (and exit 0); the JSONL stream must carry the
+# per-window metrics and the detection event.
 echo "==> watch smoke (mutated trace fires the change detector)" >&2
 cargo run --quiet --release -p ytcdn-cli -- watch \
     --dataset EU1-FTTH --scale 0.01 --seed 5 --mutate dc-down@72:milan \
@@ -60,6 +60,8 @@ cargo run --quiet --release -p ytcdn-cli -- watch \
     || { echo "check.sh: watch exited non-zero" >&2; exit 1; }
 grep -q "CHANGE" "$smoke/watch.txt" \
     || { echo "check.sh: watch found no change point on a mutated trace" >&2; exit 1; }
+grep -q '"event":"window_metrics"' "$smoke/watch-events.jsonl" \
+    || { echo "check.sh: no window_metrics event in the JSONL stream" >&2; exit 1; }
 grep -q '"event":"change_point_detected"' "$smoke/watch-events.jsonl" \
     || { echo "check.sh: no change_point_detected event in the JSONL stream" >&2; exit 1; }
 # Replay fidelity: the same mutated trace written as .ytc and watched with

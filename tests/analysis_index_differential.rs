@@ -7,14 +7,16 @@
 //! emit byte-identical reports whether built and run with one thread or
 //! many.
 
+mod oracle;
+
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
 use ytcdn_core::columnar::{YtcFile, YtcHeader};
 use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
 use ytcdn_core::hotspot::{
-    preferred_server_load, preferred_server_load_indexed, server_session_breakdown,
-    server_session_breakdown_indexed, top_nonpreferred_videos, top_nonpreferred_videos_indexed,
+    preferred_server_load_indexed, server_session_breakdown, server_session_breakdown_indexed,
+    top_nonpreferred_videos, top_nonpreferred_videos_indexed,
 };
 use ytcdn_core::index::{DatasetIndex, SessionCounts, DEFAULT_GAP_MS};
 use ytcdn_core::patterns::classify_sessions;
@@ -117,9 +119,9 @@ fn index_matches_direct_analyses() {
                 nonpreferred_video_stats(&ctx, &ds),
                 "{label}: video stats"
             );
-            let load = preferred_server_load(&ctx, &ds);
+            let load = oracle::preferred_server_load(&ctx, &ds);
             assert_eq!(
-                preferred_server_load_indexed(&index, &ds),
+                preferred_server_load_indexed(&index),
                 load,
                 "{label}: server load"
             );
@@ -130,7 +132,7 @@ fn index_matches_direct_analyses() {
             );
             if let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) {
                 assert_eq!(
-                    server_session_breakdown_indexed(&index, &ds, hot),
+                    server_session_breakdown_indexed(&index, hot),
                     server_session_breakdown(&ctx, &ds, &sessions, hot),
                     "{label}: server breakdown"
                 );
