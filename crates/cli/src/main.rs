@@ -95,11 +95,15 @@ fn build_telemetry(opts: &TelemetryOpts) -> Result<Telemetry, String> {
     }
 }
 
-/// Flushes the event sink, writes the metrics JSON, and prints the
-/// human-readable metrics table (`repro`'s phase profile) on stderr.
+/// Records the process's peak memory, flushes the event sink, writes the
+/// metrics JSON, and prints the human-readable metrics table (`repro`'s
+/// phase profile) on stderr.
 fn finish_telemetry(opts: &TelemetryOpts, telemetry: &Telemetry) -> Result<(), String> {
     if !opts.enabled() {
         return Ok(());
+    }
+    if let Some(mb) = peak_rss_mb() {
+        telemetry.gauge("process.peak_rss_mb").set(mb);
     }
     telemetry
         .flush()
@@ -113,6 +117,21 @@ fn finish_telemetry(opts: &TelemetryOpts, telemetry: &Telemetry) -> Result<(), S
     }
     eprint!("{}", snapshot.render_table());
     Ok(())
+}
+
+/// The process's peak resident set so far, in MiB: `VmHWM` of
+/// `/proc/self/status` (reported in kB). `None` where `/proc` cannot be
+/// read, so the gauge is absent rather than zero there.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kb as f64 / 1024.0)
 }
 
 fn run(cmd: Command, ctx: &Ctx) -> ExitCode {

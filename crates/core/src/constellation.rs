@@ -295,16 +295,14 @@ impl WatchReport {
         // start time.
         let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
         let mut sessions_in: Vec<u64> = vec![0; num_windows];
-        for s in index.sessions() {
-            let w = (s.start_ms / (wh * HOUR_MS)) as usize;
+        for s in index.sessions().iter(dataset) {
+            let r = s.head();
+            let w = (r.start_ms / (wh * HOUR_MS)) as usize;
             if w >= num_windows {
                 continue;
             }
             sessions_in[w] += 1;
-            if let Some(&first) = s.flow_indices.first() {
-                let r = &records[first];
-                startup[w].push((r.end_ms - r.start_ms) as f64);
-            }
+            startup[w].push((r.end_ms - r.start_ms) as f64);
         }
 
         let mut windows: Vec<WindowStats> = Vec::with_capacity(num_windows);

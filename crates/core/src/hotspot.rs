@@ -14,7 +14,6 @@ use ytcdn_tstat::{Dataset, VideoId, HOUR_MS};
 
 use crate::dcmap::AnalysisContext;
 use crate::index::DatasetIndex;
-use crate::session::Session;
 use crate::videos::{per_video_counts, per_video_counts_indexed, VideoCounts};
 
 /// The `k` videos with the highest number of non-preferred accesses
@@ -183,36 +182,9 @@ impl ServerSessionHour {
     }
 }
 
-/// Bins the sessions that touch `server` by start hour and pattern.
-pub fn server_session_breakdown(
-    ctx: &AnalysisContext,
-    dataset: &Dataset,
-    sessions: &[Session],
-    server: Ipv4Addr,
-) -> Vec<ServerSessionHour> {
-    let last_hour = sessions
-        .iter()
-        .map(|s| s.start_ms / HOUR_MS)
-        .max()
-        .unwrap_or(0);
-    let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
-    for s in sessions {
-        if !s.flows_iter(dataset).any(|f| f.server_ip == server) {
-            continue;
-        }
-        let slot = &mut out[(s.start_ms / HOUR_MS) as usize];
-        let prefs: Option<Vec<bool>> = s.flows_iter(dataset).map(|f| ctx.is_preferred(f)).collect();
-        match prefs {
-            Some(p) if p.iter().all(|&x| x) => slot.all_preferred += 1,
-            Some(p) if p[0] && p[1..].iter().any(|&x| !x) => slot.first_preferred_then_non += 1,
-            _ => slot.others += 1,
-        }
-    }
-    out
-}
-
-/// [`server_session_breakdown`] over the index's default-gap sessions,
-/// with per-flow servers and targets read from the columns.
+/// Bins the index's default-gap sessions that touch `server` by start hour
+/// and pattern, with per-flow servers and targets read from the columns.
+/// A session's start hour is its first flow's, read off the hour ranges.
 pub fn server_session_breakdown_indexed(
     index: &DatasetIndex,
     server: Ipv4Addr,
@@ -220,25 +192,22 @@ pub fn server_session_breakdown_indexed(
     let servers = index.server_table();
     let server = servers.id_of(server);
     let sessions = index.sessions();
-    let last_hour = sessions
-        .iter()
-        .map(|s| s.start_ms / HOUR_MS)
-        .max()
-        .unwrap_or(0);
-    let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
-    for s in sessions {
-        if !s
-            .flow_indices
+    let hours = index.hour_ranges();
+    let hour_of = |flows: &[u32]| hours.partition_point(|r| r.end <= flows[0] as usize);
+    // Sessions run in start order, so the last one starts latest.
+    let last_hour = sessions.flow_lists().next_back().map_or(0, hour_of);
+    let mut out = vec![ServerSessionHour::default(); last_hour + 1];
+    for flows in sessions.flow_lists() {
+        if !flows
             .iter()
-            .any(|&i| Some(servers.server_of_flow(i)) == server)
+            .any(|&i| Some(servers.server_of_flow(i as usize)) == server)
         {
             continue;
         }
-        let slot = &mut out[(s.start_ms / HOUR_MS) as usize];
-        let prefs: Option<Vec<bool>> = s
-            .flow_indices
+        let slot = &mut out[hour_of(flows)];
+        let prefs: Option<Vec<bool>> = flows
             .iter()
-            .map(|&i| index.is_preferred_flow(i))
+            .map(|&i| index.is_preferred_flow(i as usize))
             .collect();
         match prefs {
             Some(p) if p.iter().all(|&x| x) => slot.all_preferred += 1,
@@ -252,7 +221,6 @@ pub fn server_session_breakdown_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::group_sessions;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
     use ytcdn_tstat::DatasetName;
 
@@ -344,8 +312,7 @@ mod tests {
             .max_by(|a, b| a.max.cmp(&b.max))
             .and_then(|h| h.max_server)
             .expect("some server saw load");
-        let sessions = group_sessions(&ds, 1_000);
-        let breakdown = server_session_breakdown(&ctx, &ds, &sessions, hot);
+        let breakdown = server_session_breakdown_indexed(&index, hot);
         let redirected: u64 = breakdown.iter().map(|h| h.first_preferred_then_non).sum();
         let total: u64 = breakdown.iter().map(|h| h.total()).sum();
         assert!(total > 0);
@@ -365,18 +332,8 @@ mod tests {
             video_timeseries_indexed(&index, &ds, top[0].0),
             video_timeseries(&ctx, &ds, top[0].0)
         );
-        // The server-load oracle lives with the differential suites.
-        let load = preferred_server_load_indexed(&index);
-        let hot = load
-            .iter()
-            .max_by(|a, b| a.max.cmp(&b.max))
-            .and_then(|h| h.max_server)
-            .expect("some server saw load");
-        let sessions = group_sessions(&ds, 1_000);
-        assert_eq!(
-            server_session_breakdown_indexed(&index, hot),
-            server_session_breakdown(&ctx, &ds, &sessions, hot)
-        );
+        // The server-load and session-breakdown oracles live with the
+        // differential suites, which compare them on this same dataset.
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! sums per-server and per-data-center traffic from the table's
 //! per-server totals, and derives every session question from two
 //! per-flow gap columns (see [`SessionGaps`]): the default-gap sessions
-//! and their classification once at build time, and session counts at
-//! any gap threshold on demand.
+//! (one flat [`Sessions`] store) and their classification once at build
+//! time, and session counts at any gap threshold on demand.
 //!
 //! Determinism note: every collection here is a `Vec` or `BTreeMap`
 //! (lint rule `DET003` applies to this module), so iteration order — and
@@ -24,12 +24,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ytcdn_telemetry::Telemetry;
-use ytcdn_tstat::{Dataset, DatasetName, TrafficSummary, HOUR_MS};
+use ytcdn_tstat::{Dataset, DatasetName, TrafficSummary, VideoId, HOUR_MS};
 
 use crate::dcmap::AnalysisContext;
 use crate::patterns::PatternStats;
 use crate::servers::ServerTable;
-use crate::session::{sort_sessions, Session};
+use crate::session::Sessions;
 
 /// The paper's session gap threshold `T` = 1 s, in milliseconds — the gap
 /// the index pre-groups sessions at.
@@ -204,32 +204,64 @@ impl SessionGaps {
     /// The sessions at `gap_ms` in canonical order — equal to
     /// [`crate::session::group_sessions`] over the same dataset.
     ///
+    /// Written straight into the flat store: one pass collects each
+    /// session's first flow and end, and since records are sorted by start
+    /// time those heads are already in canonical order except within runs
+    /// of equal starts, which are sorted in place. No allocation is made
+    /// per session.
+    ///
     /// # Panics
     ///
     /// Panics if `dataset` is not the dataset the columns were built from.
-    pub fn sessions(&self, dataset: &Dataset, gap_ms: u64) -> Vec<Session> {
+    pub fn sessions(&self, dataset: &Dataset, gap_ms: u64) -> Sessions {
         let records = dataset.records();
         let t = Self::threshold(gap_ms);
-        let mut sessions: Vec<Session> = self
-            .heads(t)
-            .map(|head| {
-                let first = &records[head];
-                let flow_indices: Vec<usize> = self.members(head, t).collect();
-                let end_ms = flow_indices
-                    .iter()
-                    .map(|&i| records[i].end_ms)
-                    .fold(first.end_ms, u64::max);
-                Session {
-                    client_ip: first.client_ip,
-                    video_id: first.video_id,
-                    flow_indices,
-                    start_ms: first.start_ms,
-                    end_ms,
+        let count = self.heads(t).count();
+        let mut heads: Vec<u32> = Vec::with_capacity(count);
+        let mut ends: Vec<u64> = Vec::with_capacity(count);
+        for head in self.heads(t) {
+            heads.push(head as u32);
+            ends.push(
+                self.members(head, t)
+                    .map(|i| records[i].end_ms)
+                    .fold(0, u64::max),
+            );
+        }
+
+        // Break start ties by (end, client, video), one run at a time.
+        let start_of = |h: u32| records[h as usize].start_ms;
+        let mut tied: Vec<(u64, Ipv4Addr, VideoId, u32)> = Vec::new();
+        let mut run = 0;
+        while run < heads.len() {
+            let start = start_of(heads[run]);
+            let len = heads[run..]
+                .iter()
+                .take_while(|&&h| start_of(h) == start)
+                .count();
+            if len > 1 {
+                tied.clear();
+                tied.extend(
+                    heads[run..run + len]
+                        .iter()
+                        .zip(&ends[run..])
+                        .map(|(&h, &end)| {
+                            let r = &records[h as usize];
+                            (end, r.client_ip, r.video_id, h)
+                        }),
+                );
+                tied.sort_unstable();
+                for (k, &(end, _, _, h)) in tied.iter().enumerate() {
+                    heads[run + k] = h;
+                    ends[run + k] = end;
                 }
-            })
-            .collect();
-        sort_sessions(&mut sessions);
-        sessions
+            }
+            run += len;
+        }
+        debug_assert!(heads.windows(2).all(|w| start_of(w[0]) <= start_of(w[1])));
+
+        Sessions::from_keys(heads, ends, records.len(), |head| {
+            self.members(head as usize, t).map(|i| i as u32)
+        })
     }
 }
 
@@ -260,7 +292,7 @@ pub struct DatasetIndex {
     /// Per data center: all analysis bytes sent.
     dc_bytes: Vec<u64>,
     gaps: SessionGaps,
-    sessions: Vec<Session>,
+    sessions: Sessions,
     patterns: PatternStats,
 }
 
@@ -432,7 +464,7 @@ impl DatasetIndex {
 
     /// The sessions at the paper's default gap (`T` = 1 s), in canonical
     /// order.
-    pub fn sessions(&self) -> &[Session] {
+    pub fn sessions(&self) -> &Sessions {
         &self.sessions
     }
 
@@ -505,16 +537,19 @@ impl DatasetIndex {
         &self.dc_bytes
     }
 
-    /// Classifies arbitrary sessions of this dataset against the columns —
-    /// output-identical to [`crate::patterns::classify_sessions`].
-    pub fn classify(&self, sessions: &[Session]) -> PatternStats {
+    /// Classifies arbitrary sessions of this dataset against the columns.
+    ///
+    /// Sessions touching servers outside the analysis ASes (legacy
+    /// YouTube-EU, third-party) are counted in `excluded`, mirroring the
+    /// paper's Section IV filter.
+    pub fn classify(&self, sessions: &Sessions) -> PatternStats {
         let mut stats = PatternStats::default();
         let mut targets: Vec<bool> = Vec::new();
-        for s in sessions {
+        for flows in sessions.flow_lists() {
             targets.clear();
             let mut excluded = false;
-            for &i in &s.flow_indices {
-                match self.is_preferred_flow(i) {
+            for &i in flows {
+                match self.is_preferred_flow(i as usize) {
                     Some(p) => targets.push(p),
                     None => {
                         excluded = true;
@@ -654,7 +689,6 @@ impl GeoIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::patterns::classify_sessions;
     use crate::session::group_sessions;
     use crate::stats::Cdf;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
@@ -685,8 +719,10 @@ mod tests {
         let (ds, ctx) = setup(DatasetName::Eu2);
         let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
         let direct = group_sessions(&ds, DEFAULT_GAP_MS);
-        assert_eq!(index.sessions(), direct.as_slice());
-        assert_eq!(index.patterns(), classify_sessions(&ctx, &ds, &direct));
+        assert_eq!(index.sessions(), &direct);
+        // The differential suite holds the patterns against the per-flow
+        // oracle on this same dataset.
+        assert_eq!(index.patterns(), index.classify(&direct));
     }
 
     #[test]

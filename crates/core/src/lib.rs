@@ -45,7 +45,7 @@
 //! // ...and run the paper's analysis on the flow log.
 //! let ctx = AnalysisContext::from_ground_truth(scenario.world(), &dataset);
 //! let sessions = group_sessions(&dataset, 1_000);
-//! let single: usize = sessions.iter().filter(|s| s.flow_count() == 1).count();
+//! let single = sessions.iter(&dataset).filter(|s| s.flow_count() == 1).count();
 //! // Figure 6: 72.5–80.5% of sessions consist of a single flow.
 //! let frac = single as f64 / sessions.len() as f64;
 //! assert!(frac > 0.6 && frac < 0.9, "single-flow share {frac}");
@@ -88,5 +88,5 @@ pub use dcmap::{AnalysisContext, DcInfo, DcMap};
 pub use error::{AnalysisError, AnalysisResult};
 pub use index::{DatasetIndex, GeoIndex};
 pub use servers::ServerTable;
-pub use session::{group_sessions, Session};
+pub use session::{group_sessions, SessionRef, Sessions};
 pub use stats::Cdf;

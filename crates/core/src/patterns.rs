@@ -10,11 +10,15 @@
 //!   whose later flows do not means the preferred server issued an
 //!   application-layer redirect (Figure 10b, pattern "preferred,
 //!   non-preferred").
+//!
+//! [`crate::index::DatasetIndex::classify`] tallies these patterns from the
+//! index's per-flow columns; the index holds its default-gap sessions'
+//! tally as [`crate::index::DatasetIndex::patterns`].
 
 use ytcdn_tstat::Dataset;
 
 use crate::dcmap::AnalysisContext;
-use crate::session::Session;
+use crate::session::Sessions;
 
 /// Breakdown of single-flow sessions (Figure 10a).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,12 +104,12 @@ impl PatternStats {
 pub fn chain_pattern_histogram(
     ctx: &AnalysisContext,
     dataset: &Dataset,
-    sessions: &[Session],
+    sessions: &Sessions,
 ) -> std::collections::BTreeMap<String, u64> {
     let mut hist = std::collections::BTreeMap::new();
-    for s in sessions {
+    for s in sessions.iter(dataset) {
         let Some(targets) = s
-            .flows_iter(dataset)
+            .flows()
             .map(|f| ctx.is_preferred(f))
             .collect::<Option<Vec<bool>>>()
         else {
@@ -117,63 +121,20 @@ pub fn chain_pattern_histogram(
     hist
 }
 
-/// Classifies every session of a dataset.
-///
-/// Sessions touching servers outside the analysis ASes (legacy YouTube-EU,
-/// third-party) are counted in `excluded`, mirroring the paper's Section IV
-/// filter.
-pub fn classify_sessions(
-    ctx: &AnalysisContext,
-    dataset: &Dataset,
-    sessions: &[Session],
-) -> PatternStats {
-    let mut stats = PatternStats::default();
-    for s in sessions {
-        let targets: Option<Vec<bool>> =
-            s.flows_iter(dataset).map(|f| ctx.is_preferred(f)).collect();
-        let Some(targets) = targets else {
-            stats.excluded += 1;
-            continue;
-        };
-        stats.total += 1;
-        match targets.as_slice() {
-            [only] => {
-                if *only {
-                    stats.one_flow.preferred += 1;
-                } else {
-                    stats.one_flow.non_preferred += 1;
-                }
-            }
-            [first, second] => match (first, second) {
-                (true, true) => stats.two_flow.pp += 1,
-                (true, false) => stats.two_flow.pn += 1,
-                (false, true) => stats.two_flow.np += 1,
-                (false, false) => stats.two_flow.nn += 1,
-            },
-            longer => {
-                stats.three_plus += 1;
-                if longer[0] && longer[1..].iter().any(|p| !p) {
-                    stats.three_plus_first_preferred_then_non += 1;
-                }
-            }
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::group_sessions;
+    use crate::index::DatasetIndex;
     use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
+    use ytcdn_telemetry::Telemetry;
     use ytcdn_tstat::DatasetName;
 
+    /// The default-gap (`T` = 1 s) session patterns of one dataset.
     fn stats_for(name: DatasetName) -> PatternStats {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 55));
         let ds = s.run(name);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000);
-        classify_sessions(&ctx, &ds, &sessions)
+        DatasetIndex::build(&ctx, &ds, Telemetry::disabled()).patterns()
     }
 
     #[test]
@@ -246,9 +207,9 @@ mod tests {
         let s = StandardScenario::build(ScenarioConfig::with_scale(0.008, 55));
         let ds = s.run(DatasetName::Eu1Adsl);
         let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
-        let sessions = group_sessions(&ds, 1_000);
-        let st = classify_sessions(&ctx, &ds, &sessions);
-        let hist = chain_pattern_histogram(&ctx, &ds, &sessions);
+        let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+        let st = index.patterns();
+        let hist = chain_pattern_histogram(&ctx, &ds, index.sessions());
         // The histogram's totals reconstruct the coarse stats exactly.
         assert_eq!(hist.get("p").copied().unwrap_or(0), st.one_flow.preferred);
         assert_eq!(

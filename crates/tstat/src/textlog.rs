@@ -23,6 +23,13 @@ use crate::flow::{FlowRecord, Resolution, VideoId};
 /// The header line written before the columns.
 pub const HEADER: &str = "#client_ip server_ip t_start_ms t_end_ms bytes video_id resolution";
 
+/// The latest `t_start_ms`/`t_end_ms` a log may hold: one leap year after
+/// the trace start. Times are relative to the start of the capture (the
+/// paper's traces span a week), and the analyses size their per-hour
+/// tables by the latest start, so this ceiling is what keeps every
+/// allocation bounded whatever timestamp a log carries.
+pub const MAX_TIMESTAMP_MS: u64 = 366 * crate::DAY_MS;
+
 /// Writes a dataset in Tstat text-log form.
 ///
 /// The dataset name is recorded in a leading comment so
@@ -53,7 +60,8 @@ pub fn write_textlog<W: Write>(dataset: &Dataset, mut w: W) -> std::io::Result<(
 /// # Errors
 ///
 /// Returns [`TextLogError`] on a missing `#dataset` header or any
-/// malformed record line (with its line number).
+/// malformed record line (with its line number), including a timestamp
+/// past [`MAX_TIMESTAMP_MS`].
 pub fn read_textlog<R: BufRead>(r: R) -> Result<Dataset, TextLogError> {
     let mut name: Option<DatasetName> = None;
     let mut records = Vec::new();
@@ -106,6 +114,15 @@ fn parse_record(lineno: usize, line: &str) -> Result<FlowRecord, TextLogError> {
         .map_err(|_| TextLogError::bad(lineno, "video_id", line))?;
     let resolution = parse_resolution(next("resolution")?)
         .ok_or_else(|| TextLogError::bad(lineno, "resolution", line))?;
+    for (what, value) in [("t_start_ms", start_ms), ("t_end_ms", end_ms)] {
+        if value > MAX_TIMESTAMP_MS {
+            return Err(TextLogError::TimestampTooLate {
+                lineno,
+                what,
+                value,
+            });
+        }
+    }
     if end_ms < start_ms {
         return Err(TextLogError::bad(lineno, "time ordering", line));
     }
@@ -145,6 +162,15 @@ pub enum TextLogError {
         /// The offending line (truncated).
         line: String,
     },
+    /// A timestamp lies past [`MAX_TIMESTAMP_MS`].
+    TimestampTooLate {
+        /// Zero-based line number.
+        lineno: usize,
+        /// Which column (`t_start_ms` or `t_end_ms`).
+        what: &'static str,
+        /// The value read.
+        value: u64,
+    },
     /// Underlying I/O failure.
     Io(std::io::Error),
 }
@@ -171,6 +197,15 @@ impl fmt::Display for TextLogError {
             TextLogError::BadColumn { lineno, what, line } => {
                 write!(f, "line {}: bad {what} in {line:?}", lineno + 1)
             }
+            TextLogError::TimestampTooLate {
+                lineno,
+                what,
+                value,
+            } => write!(
+                f,
+                "line {}: {what} {value} is past the {MAX_TIMESTAMP_MS} ms ceiling",
+                lineno + 1
+            ),
             TextLogError::Io(e) => write!(f, "text log I/O error: {e}"),
         }
     }
@@ -278,6 +313,38 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("line 2"), "{msg}");
         assert!(msg.contains("t_start_ms"), "{msg}");
+    }
+
+    #[test]
+    fn far_future_timestamps_rejected() {
+        let line = |start: u64, end: u64| {
+            format!("#dataset EU2\n{HEADER}\n1.2.3.4 5.6.7.8 {start} {end} 1 AAAAAAAAAAA 240p\n")
+        };
+        // At the ceiling is fine.
+        let ds = read_textlog(line(MAX_TIMESTAMP_MS, MAX_TIMESTAMP_MS).as_bytes()).unwrap();
+        assert_eq!(ds.records()[0].end_ms, MAX_TIMESTAMP_MS);
+        let far = 18_000_000_000_000_000_000;
+        for (start, end, field) in [
+            (far, far, "t_start_ms"),
+            (MAX_TIMESTAMP_MS + 1, MAX_TIMESTAMP_MS + 1, "t_start_ms"),
+            (5, MAX_TIMESTAMP_MS + 1, "t_end_ms"),
+            (5, u64::MAX, "t_end_ms"),
+        ] {
+            let err = read_textlog(line(start, end).as_bytes()).unwrap_err();
+            match &err {
+                TextLogError::TimestampTooLate {
+                    lineno,
+                    what,
+                    value,
+                } => {
+                    assert_eq!((*lineno, *what), (2, field));
+                    assert_eq!(*value, if field == "t_start_ms" { start } else { end });
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            let msg = err.to_string();
+            assert!(msg.contains("line 3") && msg.contains(field), "{msg}");
+        }
     }
 
     /// 256 seeded record sets of 0..50 flows each round-trip exactly.

@@ -9,9 +9,8 @@
 #![allow(clippy::print_stdout)]
 
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
-use ytcdn_core::patterns::classify_sessions;
-use ytcdn_core::session::group_sessions;
-use ytcdn_core::AnalysisContext;
+use ytcdn_core::{AnalysisContext, DatasetIndex};
+use ytcdn_telemetry::Telemetry;
 use ytcdn_tstat::DatasetName;
 
 fn main() {
@@ -31,9 +30,10 @@ fn main() {
         100.0 * ctx.preferred_share_of_bytes()
     );
 
-    // Step 2: group flows into video sessions (T = 1 s) and classify them.
-    let sessions = group_sessions(&dataset, 1_000);
-    let stats = classify_sessions(&ctx, &dataset, &sessions);
+    // Step 2: group flows into video sessions (T = 1 s) and classify them;
+    // the analysis index does both once.
+    let index = DatasetIndex::build(&ctx, &dataset, Telemetry::disabled());
+    let stats = index.patterns();
     println!(
         "{} sessions: {:.1}% single-flow, {:.1}% of single-flow ones to non-preferred DCs",
         stats.total,

@@ -131,6 +131,28 @@ fi
 grep -qi "checksum\|truncated\|corrupt" "$smoke/corrupt-err.txt" \
     || { echo "check.sh: corrupt .ytc rejection gave no reason on stderr" >&2; exit 1; }
 
+# Hostile-input smoke: a Tstat log whose one flow starts in the far future
+# must be a parse error naming the column (exit 1), never an abort from an
+# allocation sized by the timestamp.
+echo "==> analyze far-future timestamp smoke (exit 1, not an abort)" >&2
+printf '#dataset EU2\n#client_ip server_ip t_start_ms t_end_ms bytes video_id resolution\n1.2.3.4 74.125.0.1 18000000000000000000 18000000000000000000 900 AAAAAAAAAAA 360p\n' \
+    > "$smoke/far-future.log"
+code=0
+cargo run --quiet --release -p ytcdn-cli -- analyze --trace "$smoke/far-future.log" \
+    > /dev/null 2> "$smoke/far-future-err.txt" || code=$?
+[ "$code" = 1 ] \
+    || { echo "check.sh: analyze exited $code on a far-future timestamp, want 1" >&2; exit 1; }
+grep -q "t_start_ms" "$smoke/far-future-err.txt" \
+    || { echo "check.sh: far-future rejection does not name t_start_ms on stderr" >&2; exit 1; }
+
+# Peak-memory smoke: the metrics snapshot carries the process's VmHWM.
+echo "==> repro --metrics-out peak RSS smoke" >&2
+cargo run --quiet --release -p ytcdn-cli -- repro \
+    --scale 0.05 --seed 7 --metrics-out "$smoke/metrics.json" > /dev/null 2>&1 \
+    || { echo "check.sh: repro --metrics-out exited non-zero" >&2; exit 1; }
+grep -q '"process.peak_rss_mb"' "$smoke/metrics.json" \
+    || { echo "check.sh: no process.peak_rss_mb gauge in --metrics-out" >&2; exit 1; }
+
 # Degenerate-input smoke: an empty capture must not panic anywhere in the
 # analysis layer — the scorecard renders its unanswerable claims as
 # SKIPPED rows and still exits 0.

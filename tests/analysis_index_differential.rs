@@ -15,13 +15,12 @@ use ytcdn_core::experiments::{
     ExperimentSuite, SuiteConfig, ALL_EXPERIMENTS, EXTENSION_EXPERIMENTS,
 };
 use ytcdn_core::hotspot::{
-    preferred_server_load_indexed, server_session_breakdown, server_session_breakdown_indexed,
-    top_nonpreferred_videos, top_nonpreferred_videos_indexed,
+    preferred_server_load_indexed, server_session_breakdown_indexed, top_nonpreferred_videos,
+    top_nonpreferred_videos_indexed,
 };
 use ytcdn_core::index::{DatasetIndex, SessionCounts, DEFAULT_GAP_MS};
-use ytcdn_core::patterns::classify_sessions;
 use ytcdn_core::scorecard::{render_scorecard, scorecard};
-use ytcdn_core::session::{group_sessions, Session};
+use ytcdn_core::session::{group_sessions, Sessions};
 use ytcdn_core::timeseries::{hourly_samples, hourly_samples_indexed};
 use ytcdn_core::videos::{nonpreferred_video_stats, nonpreferred_video_stats_indexed};
 use ytcdn_core::AnalysisContext;
@@ -45,18 +44,18 @@ fn scenario(scale: f64, seed: u64) -> StandardScenario {
 const GAPS_MS: [u64; 9] = [0, 1, 999, 1_000, 1_001, 5_000, 60_000, 300_000, 1 << 32];
 
 /// Session counts a direct grouping implies.
-fn direct_counts(sessions: &[Session]) -> SessionCounts {
+fn direct_counts(sessions: &Sessions) -> SessionCounts {
     SessionCounts {
         sessions: sessions.len(),
-        one_flow: sessions.iter().filter(|s| s.flow_count() == 1).count(),
-        two_flow: sessions.iter().filter(|s| s.flow_count() == 2).count(),
+        one_flow: sessions.flow_lists().filter(|f| f.len() == 1).count(),
+        two_flow: sessions.flow_lists().filter(|f| f.len() == 2).count(),
     }
 }
 
 #[test]
 fn index_sessions_and_counts_match_direct_across_job_counts() {
     for (scale, seed) in CASES {
-        let direct: Vec<(Vec<Session>, Vec<SessionCounts>)> = {
+        let direct: Vec<(Sessions, Vec<SessionCounts>)> = {
             let s = scenario(scale, seed);
             DatasetName::ALL
                 .iter()
@@ -79,7 +78,7 @@ fn index_sessions_and_counts_match_direct_across_job_counts() {
             for (name, (sessions, counts)) in DatasetName::ALL.iter().zip(&direct) {
                 let index = suite.dataset_index(*name);
                 let label = format!("{name} jobs={jobs} scale={scale} seed={seed}");
-                assert_eq!(index.sessions(), sessions.as_slice(), "{label}: sessions");
+                assert_eq!(index.sessions(), sessions, "{label}: sessions");
                 for (&gap, want) in GAPS_MS.iter().zip(counts) {
                     assert_eq!(
                         index.session_counts(gap),
@@ -103,10 +102,10 @@ fn index_matches_direct_analyses() {
             let label = format!("{name} scale={scale} seed={seed}");
 
             let sessions = group_sessions(&ds, DEFAULT_GAP_MS);
-            assert_eq!(index.sessions(), sessions.as_slice(), "{label}: sessions");
+            assert_eq!(index.sessions(), &sessions, "{label}: sessions");
             assert_eq!(
                 index.patterns(),
-                classify_sessions(&ctx, &ds, &sessions),
+                oracle::classify_sessions(&ctx, &ds, &sessions),
                 "{label}: patterns"
             );
             assert_eq!(
@@ -133,12 +132,39 @@ fn index_matches_direct_analyses() {
             if let Some(hot) = load.iter().max_by_key(|h| h.max).and_then(|h| h.max_server) {
                 assert_eq!(
                     server_session_breakdown_indexed(&index, hot),
-                    server_session_breakdown(&ctx, &ds, &sessions, hot),
+                    oracle::server_session_breakdown(&ctx, &ds, &sessions, hot),
                     "{label}: server breakdown"
                 );
             }
         }
     }
+}
+
+/// The dataset the hot-spot unit tests use (scale 0.015, seed 3,
+/// EU1-ADSL): the breakdown at the hottest preferred server and the
+/// session patterns equal the per-flow oracles there too.
+#[test]
+fn hot_server_breakdown_matches_oracle() {
+    let s = scenario(0.015, 3);
+    let ds = s.run(DatasetName::Eu1Adsl);
+    let ctx = AnalysisContext::from_ground_truth(s.world(), &ds);
+    let index = DatasetIndex::build(&ctx, &ds, Telemetry::disabled());
+    let sessions = group_sessions(&ds, DEFAULT_GAP_MS);
+    assert_eq!(index.sessions(), &sessions);
+    assert_eq!(
+        index.patterns(),
+        oracle::classify_sessions(&ctx, &ds, &sessions)
+    );
+    let load = preferred_server_load_indexed(&index);
+    let hot = load
+        .iter()
+        .max_by(|a, b| a.max.cmp(&b.max))
+        .and_then(|h| h.max_server)
+        .expect("some server saw load");
+    assert_eq!(
+        server_session_breakdown_indexed(&index, hot),
+        oracle::server_session_breakdown(&ctx, &ds, &sessions, hot)
+    );
 }
 
 #[test]
@@ -151,7 +177,7 @@ fn empty_dataset_index_matches_direct() {
     assert!(index.sessions().is_empty());
     assert_eq!(
         index.patterns(),
-        classify_sessions(&ctx, &empty, &group_sessions(&empty, DEFAULT_GAP_MS))
+        oracle::classify_sessions(&ctx, &empty, &group_sessions(&empty, DEFAULT_GAP_MS))
     );
     assert_eq!(hourly_samples_indexed(&index), hourly_samples(&ctx, &empty));
 }

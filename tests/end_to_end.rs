@@ -5,8 +5,9 @@
 //! flow model, session grouping, data-center mapping, and every analysis
 //! module together, at a moderate scale.
 
+mod oracle;
+
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
-use ytcdn_core::patterns::classify_sessions;
 use ytcdn_core::preferred::closest_k_share;
 use ytcdn_core::session::group_sessions;
 use ytcdn_core::subnet::subnet_shares;
@@ -107,15 +108,15 @@ fn session_structure_matches_figure6() {
     let h = Harness::new();
     for ds in &h.datasets {
         let sessions = group_sessions(ds, 1_000);
-        let single =
-            sessions.iter().filter(|s| s.flow_count() == 1).count() as f64 / sessions.len() as f64;
+        let single = sessions.iter(ds).filter(|s| s.flow_count() == 1).count() as f64
+            / sessions.len() as f64;
         // Paper: 72.5–80.5% single-flow sessions.
         assert!((0.68..0.88).contains(&single), "{}: {single}", ds.name());
         // Sessions never mix clients or videos.
-        for s in sessions.iter().take(500) {
-            for f in s.flows(ds) {
-                assert_eq!(f.client_ip, s.client_ip);
-                assert_eq!(f.video_id, s.video_id);
+        for s in sessions.iter(ds).take(500) {
+            for f in s.flows() {
+                assert_eq!(f.client_ip, s.client_ip());
+                assert_eq!(f.video_id, s.video_id());
             }
         }
     }
@@ -153,7 +154,7 @@ fn dns_vs_redirection_disambiguation_matches_figure10() {
     let eu1 = h.ctx(DatasetName::Eu1Adsl);
     let ds = h.dataset(DatasetName::Eu1Adsl);
     let sessions = group_sessions(ds, 1_000);
-    let st = classify_sessions(&eu1, ds, &sessions);
+    let st = oracle::classify_sessions(&eu1, ds, &sessions);
     assert!(st.two_flow.pn > st.two_flow.nn, "{:?}", st.two_flow);
     assert!(st.two_flow.pn > st.two_flow.np, "{:?}", st.two_flow);
 
@@ -162,7 +163,7 @@ fn dns_vs_redirection_disambiguation_matches_figure10() {
     let eu2 = h.ctx(DatasetName::Eu2);
     let ds2 = h.dataset(DatasetName::Eu2);
     let sessions2 = group_sessions(ds2, 1_000);
-    let st2 = classify_sessions(&eu2, ds2, &sessions2);
+    let st2 = oracle::classify_sessions(&eu2, ds2, &sessions2);
     assert!(st2.two_flow.nn > st2.two_flow.pn, "{:?}", st2.two_flow);
     assert!(
         st2.one_flow_non_preferred_fraction() > 0.30,
@@ -243,8 +244,8 @@ fn control_flows_precede_video_flows_in_redirected_sessions() {
     let classifier = FlowClassifier::default();
     let sessions = group_sessions(ds, 1_000);
     let mut checked = 0;
-    for s in sessions.iter().filter(|s| s.flow_count() >= 2) {
-        let flows = s.flows(ds);
+    for s in sessions.iter(ds).filter(|s| s.flow_count() >= 2) {
+        let flows: Vec<_> = s.flows().collect();
         // In a redirect chain every flow but the last video flow is small.
         let classes: Vec<FlowClass> = flows.iter().map(|f| classifier.classify(f)).collect();
         if classes[0] == FlowClass::Control {

@@ -1,10 +1,11 @@
-//! The direct, per-flow implementations that the server table replaced,
-//! kept only as test oracles.
+//! The direct, per-flow implementations that the server table and the
+//! index's columns replaced, kept only as test oracles.
 //!
 //! Each function is the library code as it was before per-server questions
-//! were answered from [`ytcdn_core::ServerTable`]: it walks every flow and
-//! fills an address-keyed map. The differential suites compare the
-//! library's table-based results against these, byte for byte.
+//! were answered from [`ytcdn_core::ServerTable`] and per-session ones from
+//! the index's columns: it walks every flow, probes the context per flow,
+//! and fills an address-keyed map. The differential suites compare the
+//! library's index-based results against these, byte for byte.
 
 #![allow(dead_code)]
 
@@ -17,9 +18,10 @@ use ytcdn_core::constellation::{
     AffectedDc, ChangePoint, ClusterMass, WatchConfig, WatchReport, WindowStats, MAJOR_SHARE,
 };
 use ytcdn_core::error::{AnalysisError, AnalysisResult};
-use ytcdn_core::hotspot::ServerLoadHour;
+use ytcdn_core::hotspot::{ServerLoadHour, ServerSessionHour};
 use ytcdn_core::index::{DatasetIndex, ServerStats};
-use ytcdn_core::{AnalysisContext, Cdf};
+use ytcdn_core::patterns::PatternStats;
+use ytcdn_core::{AnalysisContext, Cdf, Sessions};
 use ytcdn_netsim::{Endpoint, Ipv4Block, WellKnownAs};
 use ytcdn_tstat::{Dataset, FlowClass, FlowClassifier, HOUR_MS};
 
@@ -205,6 +207,79 @@ pub fn preferred_server_load(ctx: &AnalysisContext, dataset: &Dataset) -> Vec<Se
         .collect()
 }
 
+/// The session pattern tally `DatasetIndex::classify` computes, with one
+/// context probe per member flow.
+///
+/// Sessions touching servers outside the analysis ASes are counted in
+/// `excluded`.
+pub fn classify_sessions(
+    ctx: &AnalysisContext,
+    dataset: &Dataset,
+    sessions: &Sessions,
+) -> PatternStats {
+    let mut stats = PatternStats::default();
+    for s in sessions.iter(dataset) {
+        let targets: Option<Vec<bool>> = s.flows().map(|f| ctx.is_preferred(f)).collect();
+        let Some(targets) = targets else {
+            stats.excluded += 1;
+            continue;
+        };
+        stats.total += 1;
+        match targets.as_slice() {
+            [only] => {
+                if *only {
+                    stats.one_flow.preferred += 1;
+                } else {
+                    stats.one_flow.non_preferred += 1;
+                }
+            }
+            [first, second] => match (first, second) {
+                (true, true) => stats.two_flow.pp += 1,
+                (true, false) => stats.two_flow.pn += 1,
+                (false, true) => stats.two_flow.np += 1,
+                (false, false) => stats.two_flow.nn += 1,
+            },
+            longer => {
+                stats.three_plus += 1;
+                if longer[0] && longer[1..].iter().any(|p| !p) {
+                    stats.three_plus_first_preferred_then_non += 1;
+                }
+            }
+        }
+    }
+    stats
+}
+
+/// The per-hour session breakdown at `server` that
+/// `server_session_breakdown_indexed` computes, matching member flows by
+/// address and probing the context per flow.
+pub fn server_session_breakdown(
+    ctx: &AnalysisContext,
+    dataset: &Dataset,
+    sessions: &Sessions,
+    server: Ipv4Addr,
+) -> Vec<ServerSessionHour> {
+    let last_hour = sessions
+        .iter(dataset)
+        .map(|s| s.start_ms() / HOUR_MS)
+        .max()
+        .unwrap_or(0);
+    let mut out = vec![ServerSessionHour::default(); last_hour as usize + 1];
+    for s in sessions.iter(dataset) {
+        if !s.flows().any(|f| f.server_ip == server) {
+            continue;
+        }
+        let slot = &mut out[(s.start_ms() / HOUR_MS) as usize];
+        let prefs: Option<Vec<bool>> = s.flows().map(|f| ctx.is_preferred(f)).collect();
+        match prefs {
+            Some(p) if p.iter().all(|&x| x) => slot.all_preferred += 1,
+            Some(p) if p[0] && p[1..].iter().any(|&x| !x) => slot.first_preferred_then_non += 1,
+            _ => slot.others += 1,
+        }
+    }
+    out
+}
+
 fn slash24(ip: Ipv4Addr) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(ip) & 0xffff_ff00)
 }
@@ -286,14 +361,14 @@ pub fn watch_report(
 
     let mut startup: Vec<Vec<f64>> = vec![Vec::new(); num_windows];
     let mut sessions_in: Vec<u64> = vec![0; num_windows];
-    for s in index.sessions() {
-        let w = (s.start_ms / (wh * HOUR_MS)) as usize;
+    for s in index.sessions().iter(dataset) {
+        let w = (s.start_ms() / (wh * HOUR_MS)) as usize;
         if w >= num_windows {
             continue;
         }
         sessions_in[w] += 1;
-        if let Some(&first) = s.flow_indices.first() {
-            let r = &records[first];
+        if let Some(&first) = s.flow_indices().first() {
+            let r = &records[first as usize];
             startup[w].push((r.end_ms - r.start_ms) as f64);
         }
     }

@@ -59,10 +59,10 @@ fn sessions_partition_flows() {
         let gap = rng.gen_range(1u64..5_000);
         let sessions = group_sessions(&ds, gap);
         let mut seen = vec![false; ds.len()];
-        for s in &sessions {
-            for &i in &s.flow_indices {
-                assert!(!seen[i], "flow {i} in two sessions");
-                seen[i] = true;
+        for flows in sessions.flow_lists() {
+            for &i in flows {
+                assert!(!seen[i as usize], "flow {i} in two sessions");
+                seen[i as usize] = true;
             }
         }
         assert!(seen.iter().all(|&b| b), "some flow in no session");
@@ -75,12 +75,12 @@ fn sessions_partition_flows() {
 fn sessions_are_homogeneous() {
     for_cases(2, CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, flows(rng));
-        for s in group_sessions(&ds, 1_000) {
-            for f in s.flows(&ds) {
-                assert_eq!(f.client_ip, s.client_ip);
-                assert_eq!(f.video_id, s.video_id);
-                assert!(f.start_ms >= s.start_ms);
-                assert!(f.end_ms <= s.end_ms);
+        for s in group_sessions(&ds, 1_000).iter(&ds) {
+            for f in s.flows() {
+                assert_eq!(f.client_ip, s.client_ip());
+                assert_eq!(f.video_id, s.video_id());
+                assert!(f.start_ms >= s.start_ms());
+                assert!(f.end_ms <= s.end_ms());
             }
         }
     });
@@ -110,8 +110,8 @@ fn session_gap_rule_holds() {
     for_cases(4, CASES, |rng| {
         let ds = Dataset::from_records(DatasetName::UsCampus, flows(rng));
         let gap = rng.gen_range(1u64..5_000);
-        for s in group_sessions(&ds, gap) {
-            let flows = s.flows(&ds);
+        for s in group_sessions(&ds, gap).iter(&ds) {
+            let flows: Vec<_> = s.flows().collect();
             let mut max_end = flows[0].end_ms;
             for f in &flows[1..] {
                 assert!(

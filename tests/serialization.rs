@@ -4,8 +4,9 @@
 //! their Tstat logs). Both on-disk forms are covered: the Tstat text log
 //! and the columnar `.ytc` file.
 
+mod oracle;
+
 use ytcdn_cdnsim::{ScenarioConfig, StandardScenario};
-use ytcdn_core::patterns::classify_sessions;
 use ytcdn_core::session::group_sessions;
 use ytcdn_core::{AnalysisContext, YtcFile, YtcHeader};
 use ytcdn_tstat::{read_textlog, write_textlog, Dataset, DatasetName};
@@ -55,8 +56,8 @@ fn roundtrip_preserves_analysis_in_every_format() {
         let sess_b = group_sessions(&back, 1_000);
         assert_eq!(sess_a.len(), sess_b.len(), "{format}");
         assert_eq!(
-            classify_sessions(&ctx_a, &ds, &sess_a),
-            classify_sessions(&ctx_b, &back, &sess_b),
+            oracle::classify_sessions(&ctx_a, &ds, &sess_a),
+            oracle::classify_sessions(&ctx_b, &back, &sess_b),
             "{format}"
         );
     }
@@ -125,7 +126,7 @@ fn empty_dataset_roundtrips_through_every_format() {
     let ctx = AnalysisContext::from_ground_truth(scenario.world(), &empty);
     assert!(group_sessions(&back, 1_000).is_empty());
     assert_eq!(
-        classify_sessions(&ctx, &back, &[]),
+        oracle::classify_sessions(&ctx, &back, &Default::default()),
         ytcdn_core::patterns::PatternStats::default()
     );
 }

@@ -14,15 +14,15 @@ use std::net::Ipv4Addr;
 
 use ytcdn_cdnsim::SimRng;
 use ytcdn_core::index::{SessionCounts, SessionGaps};
-use ytcdn_core::session::{group_sessions, Session};
+use ytcdn_core::session::{group_sessions, Sessions};
 use ytcdn_tstat::{Dataset, DatasetName, FlowRecord, Resolution, VideoId};
 
 /// Session counts a direct grouping implies.
-fn direct_counts(sessions: &[Session]) -> SessionCounts {
+fn direct_counts(sessions: &Sessions) -> SessionCounts {
     SessionCounts {
         sessions: sessions.len(),
-        one_flow: sessions.iter().filter(|s| s.flow_count() == 1).count(),
-        two_flow: sessions.iter().filter(|s| s.flow_count() == 2).count(),
+        one_flow: sessions.flow_lists().filter(|f| f.len() == 1).count(),
+        two_flow: sessions.flow_lists().filter(|f| f.len() == 2).count(),
     }
 }
 
